@@ -26,10 +26,8 @@ from .graph import (
     Partition,
     canonical_tuple,
     enumerate_ktuples,
-    is_split,
     load_edge_list,
     misassigned_vertices,
-    partition_from_cluster_list,
     rand_index,
     write_edge_list,
 )
@@ -44,7 +42,6 @@ from .motifs import (
     classify_pair,
     classify_triple,
     directed_cycle_rule,
-    resolve_weight,
     weights_from_config,
     weights_to_config,
 )
@@ -59,9 +56,7 @@ from .lpmodel import (
     count_upsilon,
     evaluate_objective,
     induced_point,
-    pair_var,
     per_class_breakdown,
-    tuple_var,
 )
 from .simplex import SolverConfig, SolverResult, solve, verify_solution
 from .rounding import (
@@ -149,7 +144,6 @@ __all__ = [
     "evaluate_objective",
     "exact_min_disagree",
     "induced_point",
-    "is_split",
     "karate",
     "karate_factions",
     "load_edge_list",
@@ -159,8 +153,6 @@ __all__ = [
     "make_layered_flow",
     "maxagree_2approx",
     "misassigned_vertices",
-    "pair_var",
-    "partition_from_cluster_list",
     "partitions_blocks",
     "partitions_rgs",
     "per_class_breakdown",
@@ -168,13 +160,11 @@ __all__ = [
     "pivot_vertex_baseline",
     "rand_index",
     "recommended_params",
-    "resolve_weight",
     "round_alg1",
     "round_alg2",
     "run",
     "solve",
     "total_weight",
-    "tuple_var",
     "verify_solution",
     "weights_from_config",
     "weights_to_config",

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .errors import InvalidParameterError
-from .graph import DirectedGraph, KTuple, Partition, canonical_tuple, enumerate_ktuples
+from .graph import DirectedGraph, KTuple, Partition, canonical_tuple
 from .lpmodel import evaluate_objective
 from .motifs import MixedWeights, MotifWeights
 from .exact import ClusteringReport
@@ -28,8 +28,8 @@ def edge_signs_from_weights(weights: MotifWeights, threshold: float = 0.5) -> se
     """Positive pairs = pairs whose w+ exceeds ``threshold``."""
     if weights.k != 2:
         raise InvalidParameterError(f"edge signs need a k=2 layer, got k={weights.k}")
-    n = weights.graph.n
-    return {p for p in enumerate_ktuples(range(1, n + 1), 2) if weights.w_plus(p) > threshold}
+    table = weights.tuple_table()
+    return set(map(tuple, table.tuples[table.wplus > threshold].tolist()))
 
 
 def _as_signs(signs) -> set[KTuple]:

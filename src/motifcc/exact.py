@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from . import kernels
-from .errors import SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError
 from .graph import Partition
 from .lpmodel import evaluate_objective
 from .motifs import MixedWeights
@@ -108,11 +108,11 @@ def partitions_blocks(n: int) -> Iterator[list[list[int]]]:
     yield from rec(1, [])
 
 
-def _layer_tables(mixed: MixedWeights, n: int):
-    return [
-        (layer.lam, *layer.weights.tuple_table(n))
-        for layer in mixed
-    ]
+def _graph_n(mixed: MixedWeights, n: int | None) -> int:
+    """The weights' vertex count; an explicit ``n`` must agree with it."""
+    if n is not None and n != mixed.graph.n:
+        raise InvalidParameterError(f"n={n} disagrees with weights' graph n={mixed.graph.n}")
+    return mixed.graph.n
 
 
 def exact_min_disagree(
@@ -128,12 +128,12 @@ def exact_min_disagree(
     order wins.  Refuses n above ``cap`` (Bell growth).
     """
     t0 = time.perf_counter()
-    n = mixed.graph.n if n is None else n
+    n = _graph_n(mixed, n)
     if n > cap:
         raise SizeLimitError(
             f"exact search over Bell({n}) partitions exceeds cap {cap}; raise cap to override"
         )
-    tables = _layer_tables(mixed, n)
+    tables = [(layer.lam, layer.weights.tuple_table()) for layer in mixed]
     best_cost = np.inf
     best_rgs: tuple[int, ...] | None = None
     buf = np.zeros((batch_size, n + 1), dtype=np.int64)
@@ -146,8 +146,8 @@ def exact_min_disagree(
         B = len(held)
         buf[:B, 1:] = held
         costs = np.zeros(B)
-        for lam, tuples, wplus in tables:
-            costs += lam * kernels.partition_costs_batch(tuples, wplus, buf[:B])
+        for lam, table in tables:
+            costs += lam * kernels.partition_costs_batch(table.tuples, table.wplus, buf[:B])
         i = int(np.argmin(costs))
         if costs[i] < best_cost - 1e-12:
             best_cost = float(costs[i])
@@ -168,12 +168,8 @@ def exact_min_disagree(
 
 def total_weight(mixed: MixedWeights, n: int | None = None) -> float:
     """Σ_t λ_t Σ_K (w+ + w-) = Σ_t λ_t C(n, k_t) under probability weights."""
-    n = mixed.graph.n if n is None else n
-    total = 0.0
-    for layer in mixed:
-        _, wplus = layer.weights.tuple_table(n)
-        total += layer.lam * len(wplus)
-    return total
+    _graph_n(mixed, n)
+    return sum(layer.lam * len(layer.weights.tuple_table().wplus) for layer in mixed)
 
 
 def agreement(partition: Partition, mixed: MixedWeights) -> float:
@@ -186,7 +182,7 @@ def maxagree_2approx(mixed: MixedWeights, n: int | None = None) -> ClusteringRep
     objective; a 2-approximation because the two agreements sum to at least
     the total weight."""
     t0 = time.perf_counter()
-    n = mixed.graph.n if n is None else n
+    n = _graph_n(mixed, n)
     cands = [Partition.singletons(n), Partition.one_cluster(n)]
     scored = [(agreement(p, mixed), -i, p) for i, p in enumerate(cands)]
     best_agree, negi, best = max(scored)

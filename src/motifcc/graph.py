@@ -214,16 +214,6 @@ class Partition:
         return " | ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in self.clusters)
 
 
-def partition_from_cluster_list(clusters: Iterable[Iterable[int]], n: int | None = None) -> Partition:
-    """Module-level alias for Partition.from_cluster_list."""
-    return Partition.from_cluster_list(clusters, n=n)
-
-
-def is_split(tup: Iterable[int], partition: Partition) -> bool:
-    """True iff ``tup``'s vertices do not all share one cluster."""
-    return partition.is_split(tup)
-
-
 def rand_index(p: Partition, q: Partition) -> float:
     """Fraction of vertex pairs on which two partitions agree."""
     if p.n != q.n:

@@ -8,8 +8,8 @@ Backend selection happens once at import from the environment variable
 * ``numpy``          — force the pure-numpy reference implementations
 
 ``active_backend()`` reports which one is live.  The numba and numpy
-implementations are kept in matched pairs; the benchmark script under
-benchmarks/ and the unit tests compare them on identical inputs.
+implementations are kept in matched pairs; tests/test_kernels.py compares
+them on identical inputs when numba is installed.
 
 Conventions: vertex labels are 1-based, so per-vertex arrays have length
 n+1 with slot 0 unused.  Tuple tables are int64 arrays of shape (T, k).

@@ -77,16 +77,6 @@ class VarId:
         return cls("named", (name,))
 
 
-def tuple_var(tup: Iterable[int]) -> VarId:
-    """Identifier for the tuple variable x_K."""
-    return VarId.tuple_var(tup)
-
-
-def pair_var(u: int, v: int) -> VarId:
-    """Identifier for the pair variable z_uv."""
-    return VarId.pair_var(u, v)
-
-
 @dataclass
 class LinearConstraint:
     name: str
@@ -201,15 +191,32 @@ class LpProblem:
 
     @classmethod
     def from_text(cls, fh, name: str = "dump") -> "LpProblem":
+        """Inverse of ``to_text``.  A malformed line raises
+        InvalidParameterError naming its line number."""
         close = False
         if isinstance(fh, (str, bytes)):
             fh = open(fh, encoding="utf-8")
             close = True
         try:
-            lines = [ln.strip() for ln in fh]
+            lines = list(fh)
         finally:
             if close:
                 fh.close()
+        parsed: dict[str, list] = {"minimize": [], "subject to": [], "bounds": []}
+        section = None
+        for lineno, raw in enumerate(lines, start=1):
+            ln = raw.strip()
+            if not ln or ln.startswith("#"):
+                continue
+            if ln.lower() in ("minimize", "subject to", "bounds", "end"):
+                section = ln.lower()
+            elif section in parsed:
+                try:
+                    parsed[section].append(_parse_dump_line(section, ln))
+                except (ValueError, IndexError, StopIteration) as exc:
+                    raise InvalidParameterError(
+                        f"line {lineno}: malformed {section} line {ln!r}"
+                    ) from exc
         var_ids: list[VarId] = []
         col: dict[str, int] = {}
 
@@ -219,87 +226,65 @@ class LpProblem:
                 var_ids.append(VarId.from_name(vname))
             return col[vname]
 
-        def parse_terms(tokens: list[str]) -> list[tuple[int, float]]:
-            out = []
-            for tok in tokens:
-                coeff, _, vname = tok.partition("*")
-                if not vname:
-                    raise InvalidParameterError(f"bad term {tok!r} in dump")
-                out.append((col_of(vname), float(coeff)))
-            return out
-
-        # register variables in bounds-section order first: to_text lists
-        # every variable there, which pins the original column order
-        section = None
-        for ln in lines:
-            if not ln or ln.startswith("#"):
-                continue
-            if ln.lower() in ("minimize", "subject to", "bounds", "end"):
-                section = ln.lower()
-                continue
-            if section == "bounds":
-                col_of(ln.split()[2])
-        obj_terms: list[tuple[int, float]] = []
-        offset = 0.0
-        rows_data: list[tuple[str, list, int, float]] = []
-        bounds: dict[str, tuple[float, float]] = {}
-        section = None
-        for ln in lines:
-            if not ln or ln.startswith("#"):
-                continue
-            low = ln.lower()
-            if low in ("minimize", "subject to", "bounds", "end"):
-                section = low
-                continue
-            if section == "minimize":
-                _, _, rest = ln.partition(":")
-                toks = rest.split()
-                if "offset" in toks:
-                    i = toks.index("offset")
-                    offset = float(toks[i + 1])
-                    toks = toks[:i]
-                obj_terms = parse_terms(toks)
-            elif section == "subject to":
-                rname, _, rest = ln.partition(":")
-                toks = rest.split()
-                sense_at = next(i for i, t in enumerate(toks) if t in _SENSE_CODE)
-                terms = parse_terms(toks[:sense_at])
-                rows_data.append(
-                    (rname.strip(), terms, _SENSE_CODE[toks[sense_at]], float(toks[sense_at + 1]))
-                )
-            elif section == "bounds":
-                toks = ln.split()
-                # "lo <= name <= hi"
-                bounds[toks[2]] = (float(toks[0]), float(toks[4]))
+        # to_text lists every variable in the bounds section, which pins
+        # the original column order
+        bounds = parsed["bounds"]
+        for vname, _, _ in bounds:
+            col_of(vname)
+        obj_terms, offset = parsed["minimize"][-1] if parsed["minimize"] else ([], 0.0)
+        obj_cols = [(col_of(v), c) for v, c in obj_terms]
+        rows = parsed["subject to"]
+        row_cols = [[(col_of(v), c) for v, c in terms] for _, terms, _, _ in rows]
         nv = len(var_ids)
         obj = np.zeros(nv)
-        for j, c in obj_terms:
+        for j, c in obj_cols:
             obj[j] = c
         lb = np.zeros(nv)
         ub = np.ones(nv)
-        for vname, (lo, hi) in bounds.items():
-            j = col_of(vname)
-            lb[j], ub[j] = lo, hi
-        m = len(rows_data)
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        senses = np.zeros(m, dtype=np.int8)
-        rhs = np.zeros(m)
-        row_names = []
-        for i, (rname, terms, sense, b) in enumerate(rows_data):
-            for j, c in terms:
-                indices.append(j)
-                data.append(c)
-            indptr.append(len(indices))
-            senses[i] = sense
-            rhs[i] = b
-            row_names.append(rname)
+        for vname, lo, hi in bounds:
+            lb[col[vname]], ub[col[vname]] = lo, hi
         A = sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-            shape=(m, nv),
+            (
+                np.array([c for terms in row_cols for _, c in terms], dtype=float),
+                np.array([j for terms in row_cols for j, _ in terms], dtype=np.int32),
+                np.cumsum([0] + [len(terms) for terms in row_cols], dtype=np.int32),
+            ),
+            shape=(len(rows), nv),
         )
+        senses = np.array([sense for _, _, sense, _ in rows], dtype=np.int8)
+        rhs = np.array([b for _, _, _, b in rows], dtype=float)
+        row_names = [rname for rname, _, _, _ in rows]
         return cls(name, var_ids, obj, offset, A, senses, rhs, row_names, lb=lb, ub=ub)
+
+
+def _dump_terms(tokens: list[str]) -> list[tuple[str, float]]:
+    out = []
+    for tok in tokens:
+        coeff, _, vname = tok.partition("*")
+        if not vname:
+            raise ValueError(f"bad term {tok!r}")
+        out.append((vname, float(coeff)))
+    return out
+
+
+def _parse_dump_line(section: str, ln: str) -> tuple:
+    """One line of a ``to_text`` section, with variables still named.
+    Malformed lines raise ValueError, IndexError or StopIteration."""
+    if section == "bounds":
+        lo, le, vname, le2, hi = ln.split()  # "lo <= name <= hi"
+        if (le, le2) != ("<=", "<="):
+            raise ValueError(f"bad bounds line {ln!r}")
+        return vname, float(lo), float(hi)
+    label, _, rest = ln.partition(":")
+    toks = rest.split()
+    if section == "minimize":  # "obj: terms offset c"
+        if "offset" not in toks:
+            return _dump_terms(toks), 0.0
+        at = toks.index("offset")
+        return _dump_terms(toks[:at]), float(toks[at + 1])
+    at = next(i for i, t in enumerate(toks) if t in _SENSE_CODE)
+    sense, rhs = toks[at:]
+    return label.strip(), _dump_terms(toks[:at]), _SENSE_CODE[sense], float(rhs)
 
 
 @dataclass
@@ -411,6 +396,10 @@ def _check_weights_n(weights: MotifWeights, n: int) -> None:
         )
 
 
+def _tuple_list(weights: MotifWeights) -> list[KTuple]:
+    return list(map(tuple, weights.tuple_table().tuples.tolist()))
+
+
 def build_lp1(
     weights: MotifWeights, n: int, *, max_constraints: int | None = None
 ) -> LpProblem:
@@ -424,10 +413,10 @@ def build_lp1(
         raise SizeLimitError(
             f"LP1 would need {est} constraints (cap {cap}); pass max_constraints to override"
         )
-    tuples = list(enumerate_ktuples(range(1, n + 1), k))
+    tuples = _tuple_list(weights)
     var_ids = [VarId("tuple", t) for t in tuples]
     col = {t: j for j, t in enumerate(tuples)}
-    wplus = np.array([weights.w_plus(t) for t in tuples])
+    wplus = weights.tuple_table().wplus
     obj = 2.0 * wplus - 1.0
     offset = float((1.0 - wplus).sum())
     rows = _RowBuilder(len(var_ids))
@@ -457,15 +446,11 @@ def build_lp1(
 
 
 def _emit_pair_rows(
-    rows: _RowBuilder,
-    tuples: list[KTuple],
-    tcol: dict[KTuple, int],
-    zcol: dict[KTuple, int],
-    k: int,
+    rows: _RowBuilder, tuples: list[KTuple], base: int, zcol: dict[KTuple, int], k: int
 ) -> None:
-    """Per-tuple families: z_uv <= x_K for each pair, (k-1)x_K <= Σ z_uv."""
-    for t in tuples:
-        xj = tcol[t]
+    """Per-tuple families: z_uv <= x_K for each pair, (k-1)x_K <= Σ z_uv;
+    the variable x_K of ``tuples[i]`` is column ``base + i``."""
+    for xj, t in enumerate(tuples, start=base):
         pair_cols = [zcol[p] for p in combinations(t, 2)]
         tn = "_".join(map(str, t))
         for p, zj in zip(combinations(t, 2), pair_cols):
@@ -505,16 +490,15 @@ def build_lp2(
         raise SizeLimitError(
             f"LP2 would need {est} rows (cap {cap}); pass max_constraints to override"
         )
-    tuples = list(enumerate_ktuples(range(1, n + 1), k))
+    tuples = _tuple_list(weights)
     pairs = list(enumerate_ktuples(range(1, n + 1), 2))
     var_ids = [VarId("tuple", t) for t in tuples] + [VarId("pair", p) for p in pairs]
-    tcol = {t: j for j, t in enumerate(tuples)}
     zcol = {p: len(tuples) + j for j, p in enumerate(pairs)}
-    wplus = np.array([weights.w_plus(t) for t in tuples])
+    wplus = weights.tuple_table().wplus
     obj = np.concatenate([2.0 * wplus - 1.0, np.zeros(len(pairs))])
     offset = float((1.0 - wplus).sum())
     rows = _RowBuilder(len(var_ids))
-    _emit_pair_rows(rows, tuples, tcol, zcol, k)
+    _emit_pair_rows(rows, tuples, 0, zcol, k)
     _emit_triangle_rows(rows, n, zcol)
     A, senses, rhs, names = rows.build()
     census = {
@@ -542,36 +526,31 @@ def build_lp3(
         )
     pairs = list(enumerate_ktuples(range(1, n + 1), 2))
     var_ids: list[VarId] = []
-    tcols: dict[int, dict[KTuple, int]] = {}
+    base: dict[int, int] = {}  # layer k -> column of its first variable
     layer_tuples: dict[int, list[KTuple]] = {}
     for layer in mixed:
         if layer.k < 3:
             continue
-        tuples = list(enumerate_ktuples(range(1, n + 1), layer.k))
-        tcols[layer.k] = {t: len(var_ids) + j for j, t in enumerate(tuples)}
-        layer_tuples[layer.k] = tuples
-        var_ids.extend(VarId("tuple", t) for t in tuples)
-    zcol = {p: len(var_ids) + j for j, p in enumerate(pairs)}
+        base[layer.k] = len(var_ids)
+        layer_tuples[layer.k] = _tuple_list(layer.weights)
+        var_ids.extend(VarId("tuple", t) for t in layer_tuples[layer.k])
+    zbase = len(var_ids)
+    zcol = {p: zbase + j for j, p in enumerate(pairs)}
     var_ids.extend(VarId("pair", p) for p in pairs)
     obj = np.zeros(len(var_ids))
     offset = 0.0
     for layer in mixed:
-        if layer.k == 2:
-            wplus = np.array([layer.weights.w_plus(p) for p in pairs])
-            for p, wp in zip(pairs, wplus):
-                obj[zcol[p]] += layer.lam * (2.0 * wp - 1.0)
-        else:
-            tuples = layer_tuples[layer.k]
-            wplus = np.array([layer.weights.w_plus(t) for t in tuples])
-            base = tcols[layer.k][tuples[0]] if tuples else 0
-            obj[base : base + len(tuples)] += layer.lam * (2.0 * wplus - 1.0)
+        # a k=2 layer's table lists the pairs in z-column order
+        wplus = layer.weights.tuple_table().wplus
+        lo = base.get(layer.k, zbase)
+        obj[lo : lo + len(wplus)] += layer.lam * (2.0 * wplus - 1.0)
         offset += layer.lam * float((1.0 - wplus).sum())
     rows = _RowBuilder(len(var_ids))
     census: dict[str, int] = {"pair_floor": 0, "pair_sum_cap": 0, "unit_cap": 0}
     for layer in mixed:
         if layer.k < 3:
             continue
-        _emit_pair_rows(rows, layer_tuples[layer.k], tcols[layer.k], zcol, layer.k)
+        _emit_pair_rows(rows, layer_tuples[layer.k], base[layer.k], zcol, layer.k)
         census["pair_floor"] += len(layer_tuples[layer.k]) * math.comb(layer.k, 2)
         census["pair_sum_cap"] += len(layer_tuples[layer.k])
         census["unit_cap"] += len(layer_tuples[layer.k])
@@ -599,8 +578,8 @@ def induced_point(partition: Partition, problem: LpProblem) -> FractionalSolutio
     return FractionalSolution(problem.var_ids, values, objective, "feasible")
 
 
-def evaluate_objective(partition: Partition, mixed: MixedWeights) -> float:
-    """Σ_t λ_t [Σ_{K split} w+_K + Σ_{K contained} w-_K] over all k_t-tuples."""
+def _labels(partition: Partition, mixed: MixedWeights) -> np.ndarray:
+    """Cluster index per vertex (slot 0 unused), for the tuple kernels."""
     n = partition.n
     if mixed.graph.n != n:
         raise InvalidParameterError(
@@ -609,24 +588,29 @@ def evaluate_objective(partition: Partition, mixed: MixedWeights) -> float:
     labels = np.zeros(n + 1, dtype=np.int64)
     for v, c in partition.assignment.items():
         labels[v] = c
+    return labels
+
+
+def evaluate_objective(partition: Partition, mixed: MixedWeights) -> float:
+    """Σ_t λ_t [Σ_{K split} w+_K + Σ_{K contained} w-_K] over all k_t-tuples."""
+    labels = _labels(partition, mixed)
     total = 0.0
     for layer in mixed:
-        tuples, wplus = layer.weights.tuple_table(n)
-        total += layer.lam * kernels.partition_cost(tuples, wplus, labels)
+        table = layer.weights.tuple_table()
+        total += layer.lam * kernels.partition_cost(table.tuples, table.wplus, labels)
     return float(total)
 
 
 def per_class_breakdown(partition: Partition, mixed: MixedWeights) -> dict:
     """Error cost grouped by (layer k, motif class): split positives pay w+,
     contained tuples pay w-.  Sums to evaluate_objective."""
+    labels = _labels(partition, mixed)
     out: dict[str, dict[str, float]] = {}
     for layer in mixed:
-        w = layer.weights
-        bucket: dict[str, float] = {}
-        for t in enumerate_ktuples(range(1, partition.n + 1), layer.k):
-            tag = w.classify(t)
-            wp, wm = w.resolve(t)
-            cost = wp if partition.is_split(t) else wm
-            bucket[tag] = bucket.get(tag, 0.0) + layer.lam * cost
-        out[f"k{layer.k}"] = {tag: val for tag, val in sorted(bucket.items())}
+        table = layer.weights.tuple_table()
+        split = kernels.split_mask(table.tuples, labels)
+        cost = layer.lam * np.where(split, table.wplus, 1.0 - table.wplus)
+        # bincount adds in tuple order, as a per-tuple loop would
+        sums = np.bincount(table.class_idx, weights=cost, minlength=len(table.classes))
+        out[f"k{layer.k}"] = dict(zip(table.classes, sums.tolist()))
     return out

@@ -10,14 +10,14 @@ layers of different tuple sizes with relevance factors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, UnsupportedMotifSizeError
+from .errors import InvalidParameterError, InvalidVertexError, UnsupportedMotifSizeError
 from .graph import DirectedGraph, KTuple, canonical_tuple, enumerate_ktuples
 
 
@@ -131,13 +131,26 @@ class WeightRule:
         return self.values[tag]
 
 
+class TupleTable(NamedTuple):
+    """Every k-tuple of one graph, classified and weighed once.
+
+    ``tuples`` is int64 (T, k) in lexicographic order; row i has motif class
+    ``classes[class_idx[i]]`` (``classes`` sorted) and weight ``wplus[i]``.
+    """
+
+    tuples: np.ndarray
+    wplus: np.ndarray
+    classes: tuple[str, ...]
+    class_idx: np.ndarray
+
+
 class MotifWeights:
     """Total w+/w- lookup over the k-tuples of one graph.
 
     Resolution order: per-tuple override, then the class rule.  Range rules
     draw per tuple from a SeedSequence spawned on the tuple itself, so the
-    draw is independent of enumeration order.  Immutable once built apart
-    from internal memo tables.
+    draw is independent of enumeration order.  The first lookup builds the
+    tuple table, the only place tuples are classified and resolved.
     """
 
     def __init__(
@@ -161,58 +174,61 @@ class MotifWeights:
         self.directed = (not graph.is_symmetric) if directed is None else bool(directed)
         self.overrides: dict[KTuple, float] = {}
         for tup, wp in (overrides or {}).items():
-            t = canonical_tuple(tup)
-            if len(t) != k:
-                raise UnsupportedMotifSizeError(f"override {t} has size {len(t)}, expected {k}")
+            t = self._checked(tup, "override")
             wp = float(wp)
             if not (0.0 <= wp <= 1.0):
                 raise InvalidParameterError(f"override weight for {t} outside [0,1]: {wp}")
             self.overrides[t] = wp
-        self._memo: dict[KTuple, float] = {}
-        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._table: TupleTable | None = None
+
+    def _checked(self, tup: Iterable[int], what: str = "tuple") -> KTuple:
+        t = canonical_tuple(tup)
+        if len(t) != self.k:
+            raise UnsupportedMotifSizeError(f"{what} {t} has size {len(t)}, weights are for k={self.k}")
+        if t[0] < 1 or t[-1] > self.graph.n:
+            raise InvalidVertexError(f"{what} {t} has a vertex outside [1..{self.graph.n}]")
+        return t
 
     def classify(self, tup: KTuple) -> str:
         return classify(self.graph, tup, directed=self.directed, classifier=self.classifier)
 
-    def w_plus(self, tup: Iterable[int]) -> float:
-        t = canonical_tuple(tup)
-        if len(t) != self.k:
-            raise UnsupportedMotifSizeError(f"tuple {t} has size {len(t)}, weights are for k={self.k}")
-        got = self._memo.get(t)
-        if got is not None:
-            return got
+    def tuple_table(self) -> TupleTable:
+        """The table over all k-tuples of the graph, built on first use."""
+        if self._table is None:
+            tuples = list(enumerate_ktuples(self.graph.vertices(), self.k))
+            tags = [self.classify(t) for t in tuples]
+            classes = tuple(sorted(set(tags)))
+            slot = {tag: i for i, tag in enumerate(classes)}
+            wplus = np.array([self._weigh(t, tag) for t, tag in zip(tuples, tags)], dtype=float)
+            self._table = TupleTable(
+                np.array(tuples, dtype=np.int64).reshape(-1, self.k),
+                wplus,
+                classes,
+                np.array([slot[tag] for tag in tags], dtype=np.int64),
+            )
+        return self._table
+
+    def _weigh(self, t: KTuple, tag: str) -> float:
         if t in self.overrides:
-            wp = self.overrides[t]
-        else:
-            raw = self.rule.value_for(self.classify(t))
-            if isinstance(raw, tuple):
-                lo, hi = raw
-                rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=t))
-                wp = lo + (hi - lo) * rng.random()
-            else:
-                wp = raw
-        self._memo[t] = wp
-        return wp
+            return self.overrides[t]
+        raw = self.rule.value_for(tag)
+        if isinstance(raw, tuple):
+            lo, hi = raw
+            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=t))
+            return lo + (hi - lo) * rng.random()
+        return raw
+
+    def w_plus(self, tup: Iterable[int]) -> float:
+        t = self._checked(tup)
+        # lexicographic rank of t among the k-subsets of [1..n]
+        n, k = self.graph.n, self.k
+        row = math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(t))
+        return float(self.tuple_table().wplus[row])
 
     def resolve(self, tup: Iterable[int]) -> tuple[float, float]:
+        """(w+, w-) for one tuple; the pair sums to 1 exactly."""
         wp = self.w_plus(tup)
         return wp, 1.0 - wp
-
-    def tuple_table(self, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """All k-tuples of [1..n] (lex order, int64 (T,k)) and their w+ array."""
-        n = self.graph.n if n is None else n
-        if n not in self._tables:
-            tuples = np.array(
-                list(enumerate_ktuples(range(1, n + 1), self.k)), dtype=np.int64
-            ).reshape(-1, self.k)
-            wplus = np.array([self.w_plus(tuple(row)) for row in tuples])
-            self._tables[n] = (tuples, wplus)
-        return self._tables[n]
-
-
-def resolve_weight(weights: MotifWeights, tup: Iterable[int]) -> tuple[float, float]:
-    """(w+, w-) for one tuple; the pair sums to 1 exactly."""
-    return weights.resolve(tup)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ the same config and seed).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -150,17 +151,19 @@ class Report:
 _PASSTHROUGH = (StageError, SolverFailureError, CertificateViolationError)
 
 
-def _stage(name: str):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, MotifccError) and not isinstance(exc, _PASSTHROUGH):
-                raise StageError(name, str(exc)) from exc
-            return False
-
-    return _Ctx()
+@contextlib.contextmanager
+def stage(name: str, timings: dict):
+    """Time one pipeline stage into ``timings[name]`` and wrap its toolkit
+    errors (other than the pass-through kinds) in a StageError."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except _PASSTHROUGH:
+        raise
+    except MotifccError as exc:
+        raise StageError(name, str(exc)) from exc
+    finally:
+        timings[name] = time.perf_counter() - t0
 
 
 def load_instance(config: RunConfig) -> tuple[DirectedGraph, dict]:
@@ -308,34 +311,30 @@ def _instance_digest(graph: DirectedGraph) -> str:
 def run(config: RunConfig) -> Report:
     """Execute the full pipeline for one config; see module docstring."""
     timings: dict[str, float] = {}
-    with _stage("load"):
+    with stage("load", timings):
         graph, manifest = load_instance(config)
     n = graph.n
-    with _stage("weights"):
+    with stage("weights", timings):
         mixed = resolve_weights(config, graph)
         relaxation = pick_relaxation(config, mixed)
-    t0 = time.perf_counter()
-    with _stage("build"):
+    with stage("build", timings):
         problem = build_relaxation(relaxation, mixed, n)
-    timings["build"] = time.perf_counter() - t0
     solver_cfg = SolverConfig(
         feasibility_tolerance=config.tol,
         optimality_tolerance=config.tol,
         max_iterations=config.max_iterations,
         engine=config.engine,
     )
-    t0 = time.perf_counter()
-    with _stage("solve"):
-        start = None
-        if config.warm_start:
-            warm = greedy_partition(mixed, n)
-            start = induced_point(warm, problem).values
+    start = None
+    # only the in-repo simplex takes a starting point
+    if config.warm_start and solver_cfg.engine == "simplex":
+        with stage("warm_start", timings):
+            start = induced_point(greedy_partition(mixed, n), problem).values
+    with stage("solve", timings):
         result = solve(problem, solver_cfg, start_values=start)
         if result.status != "optimal":
             raise SolverFailureError(f"solver returned status {result.status}")
-    timings["solve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with _stage("round"):
+    with stage("round", timings):
         rec = choose_params(config, mixed, relaxation, n)
         if rec.algorithm == "alg1":
             partition, trace = round_alg1(
@@ -360,42 +359,42 @@ def run(config: RunConfig) -> Report:
             )
         if config.trace:
             trace.write_jsonl(config.trace)
-    timings["round"] = time.perf_counter() - t0
-    with _stage("certify"):
+    with stage("certify", timings):
         cert = certify(
             partition, result.solution.objective_value, mixed, rec.ratio, tol=config.certificate_tol
         )
-    with _stage("report"):
-        report = Report(
-            config=config.to_dict(),
-            relaxation=relaxation,
-            n=n,
-            instance_digest=_instance_digest(graph),
-            lp_value=result.solution.objective_value,
-            cost=cert.cost,
-            certified_ratio=rec.ratio,
-            empirical_ratio=cert.empirical_ratio,
-            clusters=[sorted(c) for c in partition.clusters],
-            params={
-                "alpha": rec.params.alpha,
-                "beta": rec.params.beta,
-                "mode": rec.mode,
-                "algorithm": rec.algorithm,
-                "r0": rec.r0,
-            },
-            breakdown=per_class_breakdown(partition, mixed),
-            solver={
-                "engine": config.engine,
-                "status": result.status,
-                "iterations": result.iterations,
-                "pivots": result.pivots,
-                "bound_flips": result.bound_flips,
-                "warm_start": config.warm_start,
-            },
-            timings={**timings, "solver_wall": result.wall_time},
-        )
-        if config.out:
-            report.write(config.out)
+    with stage("breakdown", timings):
+        breakdown = per_class_breakdown(partition, mixed)
+    report = Report(
+        config=config.to_dict(),
+        relaxation=relaxation,
+        n=n,
+        instance_digest=_instance_digest(graph),
+        lp_value=result.solution.objective_value,
+        cost=cert.cost,
+        certified_ratio=rec.ratio,
+        empirical_ratio=cert.empirical_ratio,
+        clusters=[sorted(c) for c in partition.clusters],
+        params={
+            "alpha": rec.params.alpha,
+            "beta": rec.params.beta,
+            "mode": rec.mode,
+            "algorithm": rec.algorithm,
+            "r0": rec.r0,
+        },
+        breakdown=breakdown,
+        solver={
+            "engine": config.engine,
+            "status": result.status,
+            "iterations": result.iterations,
+            "pivots": result.pivots,
+            "bound_flips": result.bound_flips,
+            "warm_start": start is not None,
+        },
+        timings={**timings, "solver_wall": result.wall_time},
+    )
+    if config.out:
+        report.write(config.out)
     return report
 
 

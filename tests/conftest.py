@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
-from motifcc import DirectedGraph, Partition
+from motifcc import DirectedGraph, Partition, classify
 
 
 def all_partitions(n: int):
@@ -39,6 +40,21 @@ def brute_force_cost(labels: dict, tuples_with_weights) -> float:
         labs = {labels[v] for v in tup}
         total += lam * (wm if len(labs) == 1 else wp)
     return total
+
+
+def ref_tuple_weight(weights, tup) -> tuple[str, float]:
+    """(class tag, w+) of one tuple, resolved on its own: the override if
+    there is one, else the class rule, a range drawn from a SeedSequence
+    spawned on the tuple itself."""
+    tag = classify(weights.graph, tup, directed=weights.directed)
+    if tup in weights.overrides:
+        return tag, weights.overrides[tup]
+    raw = weights.rule.values[tag]
+    if isinstance(raw, tuple):
+        lo, hi = raw
+        rng = np.random.default_rng(np.random.SeedSequence(weights.seed, spawn_key=tup))
+        return tag, lo + (hi - lo) * rng.random()
+    return tag, raw
 
 
 def ref_classify_triple_directed(arcset, tri) -> str:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, JSON output, exit codes."""
 
+import io
 import json
 
 import pytest
@@ -145,6 +146,16 @@ class TestExactCommand:
         code = main(["exact", "--generator", "fig2a", "--weights", "fig2", "--cap", "4"])
         assert code == EXIT_CONFIG
 
+    def test_override_outside_graph_exits_2(self, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1\t2\n2\t3\n3\t4\n")
+        weights = tmp_path / "weights.json"
+        rules = {"TriangleK3": 1.0, "PathP3": 0.5, "OtherTriple": 0.2}
+        weights.write_text(json.dumps({"k": 3, "rules": rules, "overrides": [[1, 2, 99, 0.9]]}))
+        code = main(["exact", "--input", str(edges), "--undirected", "--weights", str(weights)])
+        assert code == EXIT_CONFIG
+        assert "99" in capsys.readouterr().err
+
 
 class TestBaselineCommand:
     def test_single_seed(self, capsys):
@@ -264,6 +275,36 @@ class TestVerifyCommand:
         sol = tmp_path / "map.json"
         sol.write_text(json.dumps({"a": 1.0, "b": 0.0}))
         assert main(["verify", "--problem", str(dump), "--solution", str(sol)]) == EXIT_OK
+
+
+class TestMalformedDump:
+    # section whose first line gets corrupted, and how
+    CASES = {
+        "no-sense-token": ("subject to", lambda ln: ln.replace(" <= ", " ")),
+        "non-numeric-coefficient": ("subject to", lambda ln: ln.replace(": ", ": +abc*z_1_2 ", 1)),
+        "short-bounds-line": ("bounds", lambda ln: "0 <= z_1_2"),
+        "no-right-hand-side": ("subject to", lambda ln: ln.rsplit(" ", 1)[0]),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exits_2_naming_the_line(self, case, command, tmp_path, capsys):
+        buf = io.StringIO()
+        fig2a_lp2().to_text(buf)
+        lines = buf.getvalue().splitlines()
+        section, corrupt = self.CASES[case]
+        at = lines.index(section) + 1
+        lines[at] = corrupt(lines[at])
+        dump = tmp_path / "bad.lp.txt"
+        dump.write_text("\n".join(lines) + "\n")
+        sol = tmp_path / "solution.json"
+        sol.write_text("{}")
+        argv = {
+            "verify": ["verify", "--problem", str(dump), "--solution", str(sol)],
+            "solve": ["solve", "--lp-dump", str(dump)],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        assert f"line {at + 1}:" in capsys.readouterr().err
 
 
 class TestParserBasics:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import all_partitions
-from motifcc.errors import SizeLimitError
+from motifcc.errors import InvalidParameterError, SizeLimitError
 from motifcc.exact import (
     ClusteringReport,
     agreement,
@@ -84,7 +84,7 @@ class TestExactSearch:
         layer = mixed.layers[0]
         rows = [
             (tup, *layer.weights.resolve(tup), layer.lam)
-            for tup in map(tuple, layer.weights.tuple_table(6)[0].tolist())
+            for tup in map(tuple, layer.weights.tuple_table().tuples.tolist())
         ]
         best = min(
             sum(
@@ -122,6 +122,14 @@ class TestExactSearch:
             exact_min_disagree(mixed, 6, cap=5)
         # raising the cap un-refuses the same instance
         assert exact_min_disagree(mixed, 6, cap=6).cost == pytest.approx(0.0)
+
+    def test_vertex_count_other_than_the_graphs_rejected(self, two_triangle_graph):
+        mixed = fig2_style_weights(two_triangle_graph)
+        for call in (exact_min_disagree, total_weight, maxagree_2approx):
+            with pytest.raises(InvalidParameterError):
+                call(mixed, 5)
+            with pytest.raises(InvalidParameterError):
+                call(mixed, 7)
 
     def test_small_batch_size_same_answer(self, two_triangle_graph):
         mixed = build_table1_weights("CC", two_triangle_graph)

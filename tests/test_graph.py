@@ -13,10 +13,8 @@ from motifcc import (
     Partition,
     canonical_tuple,
     enumerate_ktuples,
-    is_split,
     load_edge_list,
     misassigned_vertices,
-    partition_from_cluster_list,
     rand_index,
     write_edge_list,
 )
@@ -113,7 +111,7 @@ class TestEdgeListIO:
 
 class TestPartition:
     def test_from_cluster_list(self):
-        p = partition_from_cluster_list([[2, 1], [3]])
+        p = Partition.from_cluster_list([[2, 1], [3]])
         assert p.n == 3
         assert p.clusters == (frozenset({1, 2}), frozenset({3}))
         assert p.same_cluster(1, 2)
@@ -121,11 +119,11 @@ class TestPartition:
 
     def test_missing_vertex_rejected(self):
         with pytest.raises(MalformedPartitionError):
-            partition_from_cluster_list([[1], [3]], n=3)
+            Partition.from_cluster_list([[1], [3]], n=3)
 
     def test_duplicate_vertex_rejected(self):
         with pytest.raises(MalformedPartitionError):
-            partition_from_cluster_list([[1, 2], [2, 3]])
+            Partition.from_cluster_list([[1, 2], [2, 3]])
 
     def test_singletons_and_one_cluster(self):
         s = Partition.singletons(4)
@@ -134,43 +132,43 @@ class TestPartition:
         assert len(o.clusters) == 1
 
     def test_is_split(self):
-        p = partition_from_cluster_list([[1, 2], [3, 4]])
-        assert not is_split((1, 2), p)
-        assert is_split((1, 3), p)
-        assert is_split((1, 2, 3), p)
-        assert not is_split((3, 4), p)
+        p = Partition.from_cluster_list([[1, 2], [3, 4]])
+        assert not p.is_split((1, 2))
+        assert p.is_split((1, 3))
+        assert p.is_split((1, 2, 3))
+        assert not p.is_split((3, 4))
 
     def test_is_split_brute_force(self):
-        """is_split(T, P) false exactly when T's labels collapse to one."""
+        """P.is_split(T) false exactly when T's labels collapse to one."""
         from conftest import all_partitions
 
         for labels in all_partitions(5):
             p = Partition.from_assignment(labels, n=5)
             for tup in [(1, 2), (2, 5), (1, 3, 4), (2, 3, 4, 5)]:
                 want = len({labels[v] for v in tup}) > 1
-                assert is_split(tup, p) == want
+                assert p.is_split(tup) == want
 
     def test_labels_array_alignment(self):
-        p = partition_from_cluster_list([[1, 3], [2]])
+        p = Partition.from_cluster_list([[1, 3], [2]])
         labs = p.labels_array()
         assert labs[0] == labs[2] != labs[1]
 
 
 class TestRandIndex:
     def test_identical_is_one(self):
-        p = partition_from_cluster_list([[1, 2], [3]])
+        p = Partition.from_cluster_list([[1, 2], [3]])
         assert rand_index(p, p) == pytest.approx(1.0)
 
     def test_hand_value(self):
         # pairs: (1,2) together/together, (1,3) split/split, (2,3) split/together
-        p = partition_from_cluster_list([[1, 2], [3]])
-        q = partition_from_cluster_list([[1], [2, 3]])
+        p = Partition.from_cluster_list([[1, 2], [3]])
+        q = Partition.from_cluster_list([[1], [2, 3]])
         assert rand_index(p, q) == pytest.approx(1.0 / 3.0)
 
     def test_brute_force_agreement(self):
         # rand index == fraction of unordered pairs on which both agree
-        p = partition_from_cluster_list([[1, 2, 3], [4, 5]])
-        q = partition_from_cluster_list([[1, 2], [3, 4], [5]])
+        p = Partition.from_cluster_list([[1, 2, 3], [4, 5]])
+        q = Partition.from_cluster_list([[1, 2], [3, 4], [5]])
         agree = 0
         for u, v in itertools.combinations(range(1, 6), 2):
             agree += p.same_cluster(u, v) == q.same_cluster(u, v)
@@ -179,15 +177,15 @@ class TestRandIndex:
 
 class TestMisassigned:
     def test_exact_match_empty(self):
-        p = partition_from_cluster_list([[1, 2], [3, 4]])
+        p = Partition.from_cluster_list([[1, 2], [3, 4]])
         assert misassigned_vertices(p, p) == []
 
     def test_single_moved_vertex(self):
-        ref = partition_from_cluster_list([[1, 2, 3], [4, 5, 6]])
-        got = partition_from_cluster_list([[1, 2, 3, 4], [5, 6]])
+        ref = Partition.from_cluster_list([[1, 2, 3], [4, 5, 6]])
+        got = Partition.from_cluster_list([[1, 2, 3, 4], [5, 6]])
         assert misassigned_vertices(got, ref) == [4]
 
     def test_label_permutation_ignored(self):
-        ref = partition_from_cluster_list([[1, 2], [3, 4]])
-        got = partition_from_cluster_list([[3, 4], [1, 2]])
+        ref = Partition.from_cluster_list([[1, 2], [3, 4]])
+        got = Partition.from_cluster_list([[3, 4], [1, 2]])
         assert misassigned_vertices(got, ref) == []

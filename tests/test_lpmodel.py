@@ -20,14 +20,14 @@ from motifcc import (
     count_upsilon,
     evaluate_objective,
     induced_point,
-    pair_var,
     per_class_breakdown,
-    tuple_var,
     verify_solution,
 )
+from motifcc.generators import karate
 from motifcc.lpmodel import LpProblem
+from motifcc.motifs import Layer, MixedWeights, MotifWeights, WeightRule, directed_cycle_rule
 
-from conftest import all_partitions, brute_force_cost
+from conftest import all_partitions, brute_force_cost, ref_tuple_weight
 
 
 def brute_force_upsilon(n: int, k: int) -> int:
@@ -49,11 +49,11 @@ def brute_force_upsilon(n: int, k: int) -> int:
 
 class TestVarId:
     def test_names(self):
-        assert tuple_var((3, 1, 2)).name == "x_1_2_3"
-        assert pair_var(2, 1).name == "z_1_2"
+        assert VarId.tuple_var((3, 1, 2)).name == "x_1_2_3"
+        assert VarId.pair_var(2, 1).name == "z_1_2"
 
     def test_from_name_round_trip(self):
-        for vid in [tuple_var((1, 2, 3)), pair_var(4, 7)]:
+        for vid in [VarId.tuple_var((1, 2, 3)), VarId.pair_var(4, 7)]:
             assert VarId.from_name(vid.name) == vid
 
 
@@ -176,7 +176,7 @@ class TestBuildLp3:
         lp = build_lp3(mmcc_weights, 6)
         # k=2 layer contributes to z coefficients with lambda weighting
         edge_layer, triple_layer = mmcc_weights.layers
-        j = lp.index_of(pair_var(1, 2))
+        j = lp.index_of(VarId.pair_var(1, 2))
         wp, _ = edge_layer.weights.resolve((1, 2))
         assert lp.obj[j] == pytest.approx(edge_layer.lam * (2 * wp - 1))
         want_offset = sum(
@@ -226,10 +226,10 @@ class TestInducedPoint:
         lp = build_lp2(mcc_weights.layers[0].weights, 6)
         part = Partition.from_cluster_list([[1, 2, 3], [4, 5, 6]])
         point = induced_point(part, lp)
-        assert point[tuple_var((1, 2, 3))] == 0.0
-        assert point[tuple_var((1, 2, 4))] == 1.0
-        assert point[pair_var(1, 2)] == 0.0
-        assert point[pair_var(3, 4)] == 1.0
+        assert point[VarId.tuple_var((1, 2, 3))] == 0.0
+        assert point[VarId.tuple_var((1, 2, 4))] == 1.0
+        assert point[VarId.pair_var(1, 2)] == 0.0
+        assert point[VarId.pair_var(3, 4)] == 1.0
 
 
 class TestEvaluateObjective:
@@ -249,6 +249,85 @@ class TestEvaluateObjective:
         breakdown = per_class_breakdown(part, mmcc_weights)
         total = sum(v for layer in breakdown.values() for v in layer.values())
         assert total == pytest.approx(evaluate_objective(part, mmcc_weights))
+
+
+def random_graph(n: int, seed: int, directed: bool) -> DirectedGraph:
+    rng = np.random.default_rng(seed)
+    arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < 0.3]
+    if not directed:
+        arcs += [(v, u) for u, v in arcs]
+    return DirectedGraph.from_arcs(n, arcs)
+
+
+def table_consumer_cases() -> dict:
+    """Weight stacks with constant rules, range rules and overrides."""
+    und = random_graph(9, 1, directed=False)
+    dirg = random_graph(9, 2, directed=True)
+    triple = WeightRule({"TriangleK3": (0.8, 1.0), "PathP3": (0.45, 0.75), "OtherTriple": (0.2, 0.5)})
+    edge = WeightRule({"Edge": (0.6, 1.0), "NonEdge": 0.45})
+    return {
+        "karate-mmcc": build_table1_weights("MMCC", karate().graph),
+        "directed-range": MixedWeights.single(
+            MotifWeights(3, dirg, directed_cycle_rule(jitter=(0.35, 0.55)), {(1, 2, 3): 0.9}, seed=4)
+        ),
+        "two-layer-range": MixedWeights(
+            [
+                Layer(2, MotifWeights(2, und, edge, {(1, 9): 0.1}, seed=7), 1.0),
+                Layer(3, MotifWeights(3, und, triple, {(2, 5, 8): 0.05}, seed=8), 0.3),
+            ]
+        ),
+    }
+
+
+def ref_objective(mixed: MixedWeights, problem: LpProblem) -> tuple[np.ndarray, float]:
+    """The builders' objective from a per-tuple loop: each tuple adds
+    λ(2w+ - 1) to its own column (x_K, or z_uv for an LP3 pair layer), and
+    each layer adds λ Σ w- to the offset."""
+    obj = np.zeros(problem.num_vars)
+    offset = 0.0
+    for layer in mixed:
+        n = layer.weights.graph.n
+        wplus = []
+        for t in itertools.combinations(range(1, n + 1), layer.k):
+            wp = ref_tuple_weight(layer.weights, t)[1]
+            vid = VarId("tuple", t)
+            if vid not in problem.col_index:
+                vid = VarId("pair", t)
+            obj[problem.index_of(vid)] += layer.lam * (2.0 * wp - 1.0)
+            wplus.append(wp)
+        offset += layer.lam * float((1.0 - np.array(wplus)).sum())
+    return obj, offset
+
+
+class TestTableConsumers:
+    @pytest.mark.parametrize("case", ["karate-mmcc", "directed-range", "two-layer-range"])
+    def test_builder_objective_bit_identical(self, case):
+        mixed = table_consumer_cases()[case]
+        n = mixed.graph.n
+        problems = [build_lp3(mixed, n)]
+        if len(mixed) == 1:
+            weights = mixed.layers[0].weights
+            problems += [build_lp2(weights, n), build_lp1(weights, n)]
+        for problem in problems:
+            obj, offset = ref_objective(mixed, problem)
+            assert problem.obj.tobytes() == obj.tobytes()
+            assert problem.offset == offset
+
+    @pytest.mark.parametrize("case", ["karate-mmcc", "directed-range", "two-layer-range"])
+    def test_breakdown_equals_per_tuple_loop(self, case):
+        mixed = table_consumer_cases()[case]
+        n = mixed.graph.n
+        rng = np.random.default_rng(3)
+        part = Partition.from_assignment(rng.integers(0, 4, size=n).tolist(), n=n)
+        want = {}
+        for layer in mixed:
+            bucket: dict[str, float] = {}
+            for t in itertools.combinations(range(1, n + 1), layer.k):
+                tag, wp = ref_tuple_weight(layer.weights, t)
+                cost = wp if part.is_split(t) else 1.0 - wp
+                bucket[tag] = bucket.get(tag, 0.0) + layer.lam * cost
+            want[f"k{layer.k}"] = dict(sorted(bucket.items()))
+        assert per_class_breakdown(part, mixed) == want
 
 
 class TestDumpRoundTrip:

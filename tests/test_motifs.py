@@ -8,6 +8,7 @@ import pytest
 from motifcc import (
     DirectedGraph,
     InvalidParameterError,
+    InvalidVertexError,
     Layer,
     MixedWeights,
     MotifClass,
@@ -19,12 +20,13 @@ from motifcc import (
     classify_pair,
     classify_triple,
     directed_cycle_rule,
-    resolve_weight,
     weights_from_config,
     weights_to_config,
 )
+from motifcc.graph import Partition
+from motifcc.lpmodel import build_lp2, evaluate_objective, per_class_breakdown
 
-from conftest import ref_classify_triple_directed
+from conftest import ref_classify_triple_directed, ref_tuple_weight
 
 
 class TestClassifyPair:
@@ -161,17 +163,79 @@ class TestMotifWeights:
 
     def test_tuple_table_alignment(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
-        tuples, wplus = w.tuple_table(6)
+        tuples, wplus, _, _ = w.tuple_table()
         assert tuples.shape == (20, 3)
         # lexicographic tuple order
         assert tuples[0].tolist() == [1, 2, 3]
         assert tuples[-1].tolist() == [4, 5, 6]
         assert wplus[0] == pytest.approx(1.0)  # triangle 123
 
-    def test_resolve_weight_module_function(self, two_triangle_graph):
+
+class TestTupleTable:
+    DIRECTED_ARCS = [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 4), (5, 6), (6, 2)]
+
+    def cases(self, undirected):
+        directed = DirectedGraph.from_arcs(6, self.DIRECTED_ARCS)
+        triple_ranges = WeightRule({"TriangleK3": (0.8, 1.0), "PathP3": (0.45, 0.75), "OtherTriple": 0.2})
+        return {
+            "k2-undirected-constant": MotifWeights(2, undirected, WeightRule({"Edge": 1.0, "NonEdge": 0.47})),
+            "k2-directed-range-override": MotifWeights(
+                2, directed, WeightRule({"Edge": (0.5, 0.9), "NonEdge": (0.1, 0.4)}), {(2, 6): 0.3}, seed=5
+            ),
+            "k3-undirected-range-override": MotifWeights(3, undirected, triple_ranges, {(4, 5, 6): 0.1}, seed=3),
+            "k3-directed-constant": MotifWeights(3, directed, directed_cycle_rule(0.41)),
+            "k3-directed-range": MotifWeights(3, directed, directed_cycle_rule(jitter=(0.35, 0.55)), seed=9),
+        }
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "k2-undirected-constant",
+            "k2-directed-range-override",
+            "k3-undirected-range-override",
+            "k3-directed-constant",
+            "k3-directed-range",
+        ],
+    )
+    def test_matches_per_tuple_reference(self, case, two_triangle_graph):
+        w = self.cases(two_triangle_graph)[case]
+        table = w.tuple_table()
+        want = list(itertools.combinations(range(1, 7), w.k))
+        assert table.tuples.tolist() == [list(t) for t in want]
+        tags = []
+        for i, t in enumerate(want):
+            tag, wp = ref_tuple_weight(w, t)
+            tags.append(tag)
+            assert table.classes[table.class_idx[i]] == tag
+            assert table.wplus[i] == wp
+            assert w.resolve(t) == (wp, 1.0 - wp)
+        assert table.classes == tuple(sorted(set(tags)))
+
+    def test_each_tuple_classified_once(self, two_triangle_graph):
+        w = self.cases(two_triangle_graph)["k3-undirected-range-override"]
+        seen = []
+        classify_one = w.classify
+        w.classify = lambda t: seen.append(t) or classify_one(t)
+        mixed = MixedWeights.single(w)
+        part = Partition.from_cluster_list([[1, 2, 4], [3, 5, 6]])
+        build_lp2(w, 6)
+        evaluate_objective(part, mixed)
+        per_class_breakdown(part, mixed)
+        w.resolve((1, 2, 3))
+        assert seen == list(itertools.combinations(range(1, 7), 3))
+
+    def test_override_vertex_outside_graph_rejected(self):
+        g = DirectedGraph.from_arcs(4, [(1, 2), (2, 1)])
+        cfg = {"k": 3, "rules": {"TriangleK3": 1.0, "PathP3": 0.5, "OtherTriple": 0.2}, "overrides": [[1, 2, 99, 0.9]]}
+        with pytest.raises(InvalidVertexError):
+            weights_from_config(cfg, g)
+
+    def test_lookup_vertex_outside_graph_rejected(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
-        wp, wm = resolve_weight(w, (1, 2, 3))
-        assert (wp, wm) == (pytest.approx(1.0), pytest.approx(0.0))
+        with pytest.raises(InvalidVertexError):
+            w.w_plus((1, 2, 7))
+        with pytest.raises(UnsupportedMotifSizeError):
+            w.w_plus((1, 2))
 
 
 class TestTable1:
@@ -231,8 +295,8 @@ class TestConfigRoundTrip:
         assert len(back) == len(mixed)
         for la, lb in zip(mixed.layers, back.layers):
             assert la.k == lb.k and la.lam == pytest.approx(lb.lam)
-            ta, wa = la.weights.tuple_table(6)
-            tb, wb = lb.weights.tuple_table(6)
+            ta, wa, _, _ = la.weights.tuple_table()
+            tb, wb, _, _ = lb.weights.tuple_table()
             assert np.array_equal(ta, tb)
             assert np.allclose(wa, wb)
 

@@ -238,6 +238,15 @@ class TestRun:
         ref = run(RunConfig.from_dict({**FIG2A, "engine": "scipy"}))
         assert ours.lp_value == pytest.approx(ref.lp_value, abs=1e-6)
         assert ref.solver["engine"] == "scipy"
+        # the scipy engine takes no starting point, so none is computed or reported
+        assert ours.solver["warm_start"] is True and "warm_start" in ours.timings
+        assert ref.solver["warm_start"] is False and "warm_start" not in ref.timings
+
+    def test_every_stage_timed(self):
+        report = run(RunConfig.from_dict(FIG2A))
+        stages = {"load", "weights", "build", "warm_start", "solve", "round", "certify", "breakdown"}
+        assert stages <= set(report.timings)
+        assert all(report.timings[s] >= 0.0 for s in stages)
 
 
 class TestCompare:
