@@ -101,7 +101,6 @@ def _config_from_args(args) -> RunConfig:
         relaxation=getattr(args, "relaxation", "auto"),
         alpha=getattr(args, "alpha", None),
         beta=getattr(args, "beta", None),
-        auto_params=not getattr(args, "no_auto_params", False),
         pivot_rule=getattr(args, "pivot_rule", "lowest"),
         leftover=getattr(args, "leftover", "together"),
         seed=args.seed,
@@ -128,12 +127,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     if args.lp_dump:
         problem = LpProblem.from_text(args.lp_dump)
-        cfg = SolverConfig(
-            feasibility_tolerance=args.tol,
-            optimality_tolerance=args.tol,
-            max_iterations=args.max_iterations,
-            engine=args.engine,
-        )
+        cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations, engine=args.engine)
         result = solve(problem, cfg)
         payload = {
             "status": result.status,
@@ -290,11 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relaxation", default="auto", choices=["auto", "LP1", "LP2", "LP3"])
     p.add_argument("--alpha", type=float, help="rounding radius parameter")
     p.add_argument("--beta", type=float, help="pair-score threshold parameter")
-    p.add_argument(
-        "--no-auto-params",
-        action="store_true",
-        help="fail instead of substituting recommended alpha/beta",
-    )
     p.add_argument("--pivot-rule", default="lowest", choices=["lowest", "random"])
     p.add_argument("--leftover", default="together", choices=["together", "singletons"])
     p.add_argument("--seed", type=int, default=0)

@@ -5,11 +5,11 @@ Three builders produce ``LpProblem`` instances over [0,1]-bounded variables:
 * ``build_lp1`` — one variable x_K per k-tuple, constraints
   x_{K3} <= x_{K1} + x_{K2} over the index set Upsilon of tuple triples
   with K1 ∩ K2 nonempty and K3 a distinct k-subset of K1 ∪ K2.
-* ``build_lp2`` — adds pair variables z_uv as a pseudometric: x_K >= z_uv
-  for pairs inside K, (k-1)·x_K <= Σ z_uv, and all 3·C(n,3) triangle
-  inequalities on z.
-* ``build_lp3`` — the multi-layer version sharing one z metric across
-  layers; a k=2 layer's tuple variable for {u,v} is identified with z_uv.
+* ``build_lp3`` — adds pair variables z_uv as a pseudometric shared by
+  all layers: x_K >= z_uv for pairs inside K, (k-1)·x_K <= Σ z_uv, and all
+  3·C(n,3) triangle inequalities on z; a k=2 layer's tuple variable for
+  {u,v} is identified with z_uv.
+* ``build_lp2`` — the single-layer case of ``build_lp3``.
 
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
@@ -151,9 +151,6 @@ class LpProblem:
 
     def index_of(self, vid: VarId) -> int:
         return self.col_index[vid]
-
-    def value_of(self, values: np.ndarray, vid: VarId) -> float:
-        return float(values[self.col_index[vid]])
 
     def iter_constraints(self) -> Iterator[LinearConstraint]:
         A = self.A
@@ -473,41 +470,12 @@ def _emit_triangle_rows(rows: _RowBuilder, n: int, zcol: dict[KTuple, int]) -> N
         rows.add(f"tri_{a}_{b}_{c}_a{c}", (ab, ac, bc), (1.0, -1.0, -1.0), "<=", 0.0)
 
 
-def _lp2_row_estimate(n: int, k: int) -> int:
-    return math.comb(n, k) * (math.comb(k, 2) + 1) + 3 * math.comb(n, 3)
-
-
 def build_lp2(
     weights: MotifWeights, n: int, *, max_constraints: int | None = None
 ) -> LpProblem:
-    """Tuple variables tied to a pair pseudometric z; polynomial row count
-    Θ(C(n,k)·C(k,2) + C(n,3))."""
-    _check_weights_n(weights, n)
-    k = weights.k
-    cap = LP2_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
-    est = _lp2_row_estimate(n, k)
-    if est > cap:
-        raise SizeLimitError(
-            f"LP2 would need {est} rows (cap {cap}); pass max_constraints to override"
-        )
-    tuples = _tuple_list(weights)
-    pairs = list(enumerate_ktuples(range(1, n + 1), 2))
-    var_ids = [VarId("tuple", t) for t in tuples] + [VarId("pair", p) for p in pairs]
-    zcol = {p: len(tuples) + j for j, p in enumerate(pairs)}
-    wplus = weights.tuple_table().wplus
-    obj = np.concatenate([2.0 * wplus - 1.0, np.zeros(len(pairs))])
-    offset = float((1.0 - wplus).sum())
-    rows = _RowBuilder(len(var_ids))
-    _emit_pair_rows(rows, tuples, 0, zcol, k)
-    _emit_triangle_rows(rows, n, zcol)
-    A, senses, rhs, names = rows.build()
-    census = {
-        "pair_floor": len(tuples) * math.comb(k, 2),
-        "pair_sum_cap": len(tuples),
-        "unit_cap": len(tuples),
-        "triangle": 3 * math.comb(n, 3),
-    }
-    return LpProblem(f"lp2_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs, names, census=census)
+    """Tuple variables tied to a pair pseudometric z: the LP3 of the single
+    layer ``weights``.  Polynomial row count Θ(C(n,k)·C(k,2) + C(n,3))."""
+    return build_lp3(MixedWeights.single(weights), n, max_constraints=max_constraints)
 
 
 def build_lp3(
@@ -518,8 +486,9 @@ def build_lp3(
     for layer in mixed:
         _check_weights_n(layer.weights, n)
     cap = LP2_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
-    est = sum(_lp2_row_estimate(n, l.k) - 3 * math.comb(n, 3) for l in mixed if l.k >= 3)
-    est += 3 * math.comb(n, 3)
+    est = 3 * math.comb(n, 3) + sum(
+        math.comb(n, l.k) * (math.comb(l.k, 2) + 1) for l in mixed if l.k >= 3
+    )
     if est > cap:
         raise SizeLimitError(
             f"LP3 would need {est} rows (cap {cap}); pass max_constraints to override"

@@ -271,12 +271,6 @@ class MixedWeights:
     def graph(self) -> DirectedGraph:
         return self.layers[0].weights.graph
 
-    def layer_for(self, k: int) -> Layer | None:
-        for layer in self.layers:
-            if layer.k == k:
-                return layer
-        return None
-
     def __iter__(self):
         return iter(self.layers)
 

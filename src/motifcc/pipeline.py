@@ -41,7 +41,7 @@ from .lpmodel import (
     induced_point,
     per_class_breakdown,
 )
-from .motifs import MixedWeights, build_table1_weights, weights_from_config, weights_to_config
+from .motifs import MixedWeights, build_table1_weights, weights_from_config
 from .generators import (
     GENERATORS,
     anomaly_weights,
@@ -73,7 +73,6 @@ class RunConfig:
     relaxation: str = "auto"  # LP1 | LP2 | LP3 | auto
     alpha: float | None = None
     beta: float | None = None
-    auto_params: bool = True
     pivot_rule: str = "lowest"
     leftover: str = "together"
     seed: int = 0
@@ -115,23 +114,7 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
-        d = {
-            "schema_version": self.schema_version,
-            "config": self.config,
-            "relaxation": self.relaxation,
-            "n": self.n,
-            "instance_digest": self.instance_digest,
-            "lp_value": self.lp_value,
-            "cost": self.cost,
-            "certified_ratio": self.certified_ratio,
-            "empirical_ratio": self.empirical_ratio,
-            "clusters": self.clusters,
-            "params": self.params,
-            "breakdown": self.breakdown,
-            "solver": self.solver,
-            "timings": self.timings,
-        }
-        return d
+        return asdict(self)
 
     def to_json(self, *, with_timings: bool = True) -> str:
         d = self.to_json_dict()
@@ -255,7 +238,7 @@ def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: in
         rec = recommended_params(k, "mcc-lp2")
     else:
         rec = recommended_params(k, "mmcc")
-    if config.auto_params and config.alpha is None and config.beta is None:
+    if config.alpha is None and config.beta is None:
         return rec
     alpha = rec.params.alpha if config.alpha is None else float(config.alpha)
     beta = rec.params.beta if config.beta is None else float(config.beta)
@@ -319,12 +302,7 @@ def run(config: RunConfig) -> Report:
         relaxation = pick_relaxation(config, mixed)
     with stage("build", timings):
         problem = build_relaxation(relaxation, mixed, n)
-    solver_cfg = SolverConfig(
-        feasibility_tolerance=config.tol,
-        optimality_tolerance=config.tol,
-        max_iterations=config.max_iterations,
-        engine=config.engine,
-    )
+    solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations, engine=config.engine)
     start = None
     # only the in-repo simplex takes a starting point
     if config.warm_start and solver_cfg.engine == "simplex":

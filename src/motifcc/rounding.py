@@ -147,16 +147,45 @@ def _pick_pivot(S: set[int], rule: str, rng) -> int:
     raise InvalidParameterError(f"unknown pivot rule {rule!r}")
 
 
-def _finish(clusters: list[set[int]], S: set[int], policy: str, trace: RoundingTrace, n: int):
+def _grow_regions(
+    score_row, n: int, k: int, alpha: float, cut: float, pivot_rule: str, seed, leftover: str
+) -> tuple[Partition, RoundingTrace]:
+    """The loop both procedures share.  While at least k vertices remain:
+    pick a pivot v, take the neighborhood N of remaining vertices u with
+    score_row(v, active)[u] <= alpha, and cut v loose as a singleton when
+    the scores over N sum to more than cut·|N|, else emit N + v as a
+    cluster.  ``active`` marks the vertices not yet clustered."""
+    rng = np.random.default_rng(seed)
+    active = np.zeros(n + 1, dtype=bool)
+    active[1:] = True
+    S = set(range(1, n + 1))
+    clusters: list[set[int]] = []
+    trace = RoundingTrace()
+    while len(S) >= k:
+        v = _pick_pivot(S, pivot_rule, rng)
+        y = score_row(v, active)
+        members = [u for u in sorted(S) if u != v and y[u] <= alpha + MEMBERSHIP_SLACK]
+        ssum = float(sum(y[u] for u in members))
+        threshold = cut * len(members)
+        if ssum > threshold:
+            branch, cluster = "singleton", {v}
+        else:
+            branch, cluster = "cluster", {v, *members}
+        S -= cluster
+        active[list(cluster)] = False
+        clusters.append(cluster)
+        trace.steps.append(
+            RoundingStep(v, tuple(members), ssum, threshold, branch, tuple(sorted(cluster)), len(S))
+        )
     if S:
         trace.leftover = tuple(sorted(S))
-        trace.leftover_policy = policy
-        if policy == "together":
+        trace.leftover_policy = leftover
+        if leftover == "together":
             clusters.append(set(S))
-        elif policy == "singletons":
+        elif leftover == "singletons":
             clusters.extend({u} for u in sorted(S))
         else:
-            raise InvalidParameterError(f"unknown leftover policy {policy!r}")
+            raise InvalidParameterError(f"unknown leftover policy {leftover!r}")
     return Partition.from_cluster_list(clusters, n=n), trace
 
 
@@ -173,32 +202,13 @@ def round_alg1(
     """Tuple-variable rounding: pivot neighborhoods under the y_vu scores,
     singleton cut when sum(y) > (alpha/2)·|N|."""
     _validate_alpha(params.alpha, k)
-    alpha = params.alpha
     tuples, vals, _ = _tuple_arrays(x, k)
-    rng = np.random.default_rng(seed)
-    active = np.zeros(n + 1, dtype=bool)
-    active[1:] = True
-    S = set(range(1, n + 1))
-    clusters: list[set[int]] = []
-    trace = RoundingTrace()
-    while len(S) >= k:
-        v = _pick_pivot(S, pivot_rule, rng)
-        y = kernels.pair_min_scores(tuples, vals, active, v)
-        members = [u for u in sorted(S) if u != v and y[u] <= alpha + MEMBERSHIP_SLACK]
-        ssum = float(sum(y[u] for u in members))
-        threshold = 0.5 * alpha * len(members)
-        if ssum > threshold:
-            branch, cluster = "singleton", {v}
-        else:
-            branch, cluster = "cluster", {v, *members}
-        S -= cluster
-        for u in cluster:
-            active[u] = False
-        clusters.append(cluster)
-        trace.steps.append(
-            RoundingStep(v, tuple(members), ssum, threshold, branch, tuple(sorted(cluster)), len(S))
-        )
-    return _finish(clusters, S, leftover, trace, n)
+
+    def score_row(v, active):
+        return kernels.pair_min_scores(tuples, vals, active, v)
+
+    cut = 0.5 * params.alpha
+    return _grow_regions(score_row, n, k, params.alpha, cut, pivot_rule, seed, leftover)
 
 
 def _pair_matrix(z, n: int) -> np.ndarray:
@@ -232,28 +242,13 @@ def round_alg2(
         raise InvalidParameterError(
             f"beta must satisfy 0 < beta <= {bound:.6g} (violated bound), got {params.beta}"
         )
-    alpha, beta = params.alpha, params.beta
     mat = _pair_matrix(z, n)
-    rng = np.random.default_rng(seed)
-    S = set(range(1, n + 1))
-    clusters: list[set[int]] = []
-    trace = RoundingTrace()
-    while len(S) >= k_star:
-        v = _pick_pivot(S, pivot_rule, rng)
-        row = mat[v]
-        members = [u for u in sorted(S) if u != v and row[u] <= alpha + MEMBERSHIP_SLACK]
-        ssum = float(sum(row[u] for u in members))
-        threshold = beta * alpha * len(members)
-        if ssum > threshold:
-            branch, cluster = "singleton", {v}
-        else:
-            branch, cluster = "cluster", {v, *members}
-        S -= cluster
-        clusters.append(cluster)
-        trace.steps.append(
-            RoundingStep(v, tuple(members), ssum, threshold, branch, tuple(sorted(cluster)), len(S))
-        )
-    return _finish(clusters, S, leftover, trace, n)
+
+    def score_row(v, active):
+        return mat[v]
+
+    cut = params.beta * params.alpha
+    return _grow_regions(score_row, n, k_star, params.alpha, cut, pivot_rule, seed, leftover)
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ Design notes:
   pivots are absorbed by a product-form eta file (kernels.ftran_etas /
   btran_etas).
 * Pricing is devex (Forrest-Goldfarb reference weights, lowest index on
-  ties) by default, with plain Dantzig available, and an automatic switch
-  to Bland's rule after a run of degenerate pivots, which restores the
-  anti-cycling guarantee; the ratio test is a Harris-style two-pass with
-  bound flips.
+  ties), with an automatic switch to Bland's rule after a run of
+  degenerate pivots, which restores the anti-cycling guarantee; the ratio
+  test is a Harris-style two-pass with bound flips.
 * Infeasible starts (only possible for hand-written dumps or warm starts
   gone wrong — the clustering LPs have b = 0 and start feasible at the
   origin) go through a phase-1 with artificial columns.
@@ -27,7 +26,7 @@ refactorization schedule is fixed by iteration count.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,23 +38,19 @@ from .lpmodel import FractionalSolution, LpProblem
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
+REFACTOR_EVERY = 120  # pivots between refactorizations
+BLAND_TRIGGER = 20_000  # degenerate pivots in a row before switching to Bland's rule
+
 
 @dataclass
 class SolverConfig:
-    feasibility_tolerance: float = 1e-7
-    optimality_tolerance: float = 1e-7
+    tol: float = 1e-7  # primal feasibility and dual optimality tolerance
     max_iterations: int = 200_000
-    pivot_rule: str = "devex"  # "devex" | "dantzig" | "bland"
-    refactor_every: int = 120
-    eta_budget: int = 0  # max eta-file entries before forced refactor (0: 8*rows)
-    bland_trigger: int = 20_000  # degenerate pivots before switching rules
     engine: str = "simplex"  # "simplex" | "scipy" (cross-validation seam)
 
     def __post_init__(self):
-        if self.feasibility_tolerance <= 0 or self.optimality_tolerance <= 0:
-            raise InvalidParameterError("tolerances must be positive")
-        if self.pivot_rule not in ("devex", "dantzig", "bland"):
-            raise InvalidParameterError(f"unknown pivot rule {self.pivot_rule!r}")
+        if self.tol <= 0:
+            raise InvalidParameterError("tolerance must be positive")
         if self.engine not in ("simplex", "scipy"):
             raise InvalidParameterError(f"unknown engine {self.engine!r}")
 
@@ -69,7 +64,6 @@ class SolverResult:
     pivots: int = 0
     bound_flips: int = 0
     phase1_iterations: int = 0
-    first_pivots: tuple = field(default=(), repr=False)  # determinism probe
 
 
 @dataclass
@@ -270,9 +264,9 @@ class _Workspace:
         self.total_pivots = 0
         self.total_flips = 0
         self.degenerate_run = 0
-        self.first_pivots: list[tuple[int, int]] = []
         self.devex = np.ones(self.N)
-        self.eta_budget = config.eta_budget if config.eta_budget > 0 else max(1 << 16, 8 * m)
+        # eta-file entries before a forced refactorization
+        self.eta_budget = max(1 << 16, 8 * m)
         self.d: np.ndarray | None = None  # cached reduced costs (exact at refactor)
 
     # -------------------------------------------------------------- helpers
@@ -314,22 +308,17 @@ class _Workspace:
         return cost - (y @ self.A)
 
     def choose_entering(self, d: np.ndarray, use_bland: bool) -> int:
-        tol = self.cfg.optimality_tolerance
         free = self.ub - self.lb > 0
         viol = np.where(
             (self.vstat == AT_LOWER) & free, -d, np.where((self.vstat == AT_UPPER) & free, d, -np.inf)
         )
+        cand = np.nonzero(viol > self.cfg.tol)[0]
+        if not len(cand):
+            return -1
         if use_bland:
-            cand = np.nonzero(viol > tol)[0]
-            return int(cand[0]) if len(cand) else -1
-        if self.cfg.pivot_rule == "devex":
-            cand = np.nonzero(viol > tol)[0]
-            if not len(cand):
-                return -1
-            score = viol[cand] ** 2 / self.devex[cand]
-            return int(cand[np.argmax(score)])
-        j = int(np.argmax(viol))
-        return j if viol[j] > tol else -1
+            return int(cand[0])
+        score = viol[cand] ** 2 / self.devex[cand]
+        return int(cand[np.argmax(score)])
 
     def pivot_row(self, r: int) -> np.ndarray:
         """Row r of B^-1 A (pre-pivot basis), for pricing updates."""
@@ -362,8 +351,7 @@ class _Workspace:
                 return "optimal"
         sigma = 1.0 if self.vstat[j] == AT_LOWER else -1.0
         w = self.ftran(self.column(j))
-        feas = self.cfg.feasibility_tolerance
-        delta = 0.1 * feas
+        delta = 0.1 * self.cfg.tol
         sw = sigma * w
         lbB = self.lb[self.basic]
         ubB = self.ub[self.basic]
@@ -399,8 +387,7 @@ class _Workspace:
         t = max(strict[r], 0.0)
         leaving = int(self.basic[r])
         alpha = self.pivot_row(r)
-        if self.cfg.pivot_rule == "devex":
-            self.update_devex(j, leaving, w[r], alpha)
+        self.update_devex(j, leaving, w[r], alpha)
         self.d = self.d - (self.d[j] / w[r]) * alpha
         self.d[j] = 0.0
         self.xB -= sw * t
@@ -420,21 +407,17 @@ class _Workspace:
         self.etas.append(nz, w[nz], r)
         self.total_pivots += 1
         self.pivots_since_refactor += 1
-        if len(self.first_pivots) < 64:
-            self.first_pivots.append((j, leaving))
         self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
-        if self.pivots_since_refactor >= self.cfg.refactor_every or self.etas.top >= self.eta_budget:
+        if self.pivots_since_refactor >= REFACTOR_EVERY or self.etas.top >= self.eta_budget:
             self.refactor()
         return "step"
 
     def run_phase(self, cost: np.ndarray) -> str:
-        forced_bland = self.cfg.pivot_rule == "bland"
         self.d = None  # cost vector may differ from the previous phase
         while True:
             if self.iterations >= self.cfg.max_iterations:
                 return "iteration-limit"
-            use_bland = forced_bland or self.degenerate_run >= self.cfg.bland_trigger
-            outcome = self.step(cost, use_bland)
+            outcome = self.step(cost, self.degenerate_run >= BLAND_TRIGGER)
             if outcome != "step":
                 return outcome
             self.iterations += 1
@@ -457,6 +440,11 @@ def _solve_scipy(problem: LpProblem, config: SolverConfig, t0: float) -> SolverR
         b_eq=problem.rhs[eq] if eq.any() else None,
         bounds=list(zip(problem.lb, problem.ub)),
         method="highs",
+        options={
+            "maxiter": config.max_iterations,
+            "primal_feasibility_tolerance": config.tol,
+            "dual_feasibility_tolerance": config.tol,
+        },
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "iteration-limit")
     sol = None
@@ -484,7 +472,7 @@ def solve(
         return _solve_scipy(problem, config, t0)
     ws = _Workspace(problem, config, start_values)
     ws.refactor()
-    feas = config.feasibility_tolerance
+    feas = config.tol
 
     lower_viol = ws.xB < ws.lb[ws.basic] - feas
     upper_viol = ws.xB > ws.ub[ws.basic] + feas
@@ -512,12 +500,12 @@ def solve(
     wall = time.perf_counter() - t0
     if status != "optimal":
         return SolverResult(status, None, ws.iterations, wall, ws.total_pivots,
-                            ws.total_flips, phase1_iters, tuple(ws.first_pivots))
+                            ws.total_flips, phase1_iters)
     x = ws.full_values()[: problem.num_vars]
     obj = float(problem.obj @ x) + problem.offset
     sol = FractionalSolution(problem.var_ids, x, obj, "optimal")
     return SolverResult("optimal", sol, ws.iterations, wall, ws.total_pivots,
-                        ws.total_flips, phase1_iters, tuple(ws.first_pivots))
+                        ws.total_flips, phase1_iters)
 
 
 def _phase1(ws: _Workspace, violated: np.ndarray) -> str:

@@ -1,20 +1,12 @@
-"""Numba and numpy kernel pairs must agree bit-for-bit on shared inputs."""
+"""The numpy kernels against dense and hand-worked oracles."""
 
-import importlib.util
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from motifcc import kernels
-from motifcc.kernels import NUMBA_IMPLS, REFERENCE_IMPLS, active_backend
-
-HAVE_NUMBA = importlib.util.find_spec("numba") is not None
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+from motifcc.kernels import active_backend
 
 
 def random_tuples(rng, n, k, T):
@@ -54,78 +46,11 @@ def random_eta_file(rng, m, count):
     )
 
 
-class TestBackendSelection:
-    def test_active_backend_matches_environment(self):
-        assert active_backend() in ("numba", "numpy")
-        mode = os.environ.get("MOTIFCC_BACKEND", "auto")
-        if mode == "numpy":
-            assert active_backend() == "numpy"
-        elif HAVE_NUMBA:
-            assert active_backend() == "numba"
+class TestKernelSemantics:
+    """The kernels against independent dense / hand oracles."""
 
-    def test_forced_numpy_backend_in_subprocess(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "from motifcc.kernels import active_backend; print(active_backend())"],
-            env={**os.environ, "MOTIFCC_BACKEND": "numpy"},
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_invalid_backend_rejected_in_subprocess(self):
-        out = subprocess.run(
-            [sys.executable, "-c", "import motifcc.kernels"],
-            env={**os.environ, "MOTIFCC_BACKEND": "bogus"},
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "MOTIFCC_BACKEND" in out.stderr
-
-    def test_impl_tables_cover_same_kernels(self):
-        assert set(REFERENCE_IMPLS) == set(NUMBA_IMPLS)
-        assert kernels.partition_cost in (
-            REFERENCE_IMPLS["partition_cost"],
-            NUMBA_IMPLS["partition_cost"],
-        )
-
-
-@needs_numba
-class TestPairAgreement:
-    """Each numba kernel against its pure-numpy reference on random inputs."""
-
-    def test_split_mask(self):
-        for seed in range(10):
-            rng = np.random.default_rng(seed)
-            n, k = int(rng.integers(4, 9)), int(rng.integers(2, 5))
-            tuples = random_tuples(rng, n, k, int(rng.integers(3, 15)))
-            labels = rng.integers(0, 3, size=n + 1).astype(np.int64)
-            ref = REFERENCE_IMPLS["split_mask"](tuples, labels)
-            got = NUMBA_IMPLS["split_mask"](tuples, labels)
-            assert np.array_equal(ref, got)
-
-    def test_partition_cost(self):
-        for seed in range(10):
-            rng = np.random.default_rng(100 + seed)
-            n, k = int(rng.integers(4, 9)), int(rng.integers(2, 5))
-            tuples = random_tuples(rng, n, k, int(rng.integers(3, 15)))
-            wplus = rng.uniform(0, 1, size=len(tuples))
-            labels = rng.integers(0, 4, size=n + 1).astype(np.int64)
-            ref = REFERENCE_IMPLS["partition_cost"](tuples, wplus, labels)
-            got = NUMBA_IMPLS["partition_cost"](tuples, wplus, labels)
-            assert got == pytest.approx(ref, abs=1e-12)
-
-    def test_partition_costs_batch(self):
-        for seed in range(6):
-            rng = np.random.default_rng(200 + seed)
-            n, k = int(rng.integers(4, 8)), int(rng.integers(2, 4))
-            tuples = random_tuples(rng, n, k, int(rng.integers(3, 12)))
-            wplus = rng.uniform(0, 1, size=len(tuples))
-            batch = rng.integers(0, 3, size=(int(rng.integers(1, 20)), n + 1)).astype(np.int64)
-            ref = REFERENCE_IMPLS["partition_costs_batch"](tuples, wplus, batch)
-            got = NUMBA_IMPLS["partition_costs_batch"](tuples, wplus, batch)
-            np.testing.assert_allclose(got, ref, atol=1e-12)
+    def test_active_backend_is_numpy(self):
+        assert active_backend() == "numpy"
 
     def test_batch_consistent_with_single(self):
         rng = np.random.default_rng(7)
@@ -137,39 +62,6 @@ class TestPairAgreement:
             assert costs[b] == pytest.approx(
                 kernels.partition_cost(tuples, wplus, batch[b]), abs=1e-12
             )
-
-    def test_pair_min_scores(self):
-        for seed in range(10):
-            rng = np.random.default_rng(300 + seed)
-            n, k = int(rng.integers(4, 9)), int(rng.integers(2, 5))
-            tuples = random_tuples(rng, n, k, int(rng.integers(3, 15)))
-            x = rng.uniform(0, 1, size=len(tuples))
-            active = rng.random(n + 1) < 0.8
-            active[0] = False
-            live = np.nonzero(active)[0]
-            if not len(live):
-                continue
-            v = int(rng.choice(live))
-            ref = REFERENCE_IMPLS["pair_min_scores"](tuples, x, active, v)
-            got = NUMBA_IMPLS["pair_min_scores"](tuples, x, active, v)
-            np.testing.assert_allclose(got, ref, atol=1e-15)
-
-    def test_eta_kernels(self):
-        for seed in range(8):
-            rng = np.random.default_rng(400 + seed)
-            m = int(rng.integers(2, 8))
-            starts, idx, val, pivots, _ = random_eta_file(rng, m, int(rng.integers(1, 6)))
-            y = rng.normal(size=m)
-            ref_f = REFERENCE_IMPLS["ftran_etas"](starts, idx, val, pivots, y.copy())
-            got_f = NUMBA_IMPLS["ftran_etas"](starts, idx, val, pivots, y.copy())
-            np.testing.assert_allclose(got_f, ref_f, atol=1e-12)
-            ref_b = REFERENCE_IMPLS["btran_etas"](starts, idx, val, pivots, y.copy())
-            got_b = NUMBA_IMPLS["btran_etas"](starts, idx, val, pivots, y.copy())
-            np.testing.assert_allclose(got_b, ref_b, atol=1e-12)
-
-
-class TestKernelSemantics:
-    """Active-backend kernels against independent dense / hand oracles."""
 
     def test_pair_min_scores_hand_case(self):
         tuples = np.array([[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], dtype=np.int64)

@@ -187,6 +187,15 @@ class TestRun:
         assert len(report.instance_digest) == 16
         assert report.schema_version == 1
 
+    def test_k2_lp2_matches_lp3(self):
+        # for k=2 the LP2 rows force x_uv = z_uv, so LP2 is the z-only LP3
+        cfg = {"generator": "fig2b", "generator_args": {"n": 10}, "method": "CC"}
+        lp2 = run(RunConfig.from_dict({**cfg, "relaxation": "LP2"}))
+        lp3 = run(RunConfig.from_dict({**cfg, "relaxation": "LP3"}))
+        assert lp2.relaxation == "LP2"
+        assert lp2.lp_value == pytest.approx(lp3.lp_value, abs=1e-7)
+        assert lp2.clusters == lp3.clusters == [[1, 2, 3], [4, 5, 6, 7, 8, 9, 10]]
+
     def test_fig2a_lp1_alg1(self):
         report = run(RunConfig.from_dict({**FIG2A, "relaxation": "LP1"}))
         assert report.relaxation == "LP1"
