@@ -61,27 +61,29 @@ def pair_min_scores(tuples, x, active, v):
 
 
 # ---------------------------------------------------------------- simplex etas
+#
+# An eta file holds ``len(pivots)`` product-form columns: eta e has row
+# indices ``idx[starts[e]:starts[e+1]]`` with values ``val[...]``, replaces
+# basis position ``pivots[e]``, and ``pivvals[e]`` is its value at that
+# position (the pivot element, which is also among the stored entries).
+# Both kernels update ``y`` in place and return it.
 
 
-def ftran_etas(starts, idx, val, pivots, y):
+def ftran_etas(starts, idx, val, pivots, pivvals, y):
     for e in range(pivots.shape[0]):
         lo, hi = starts[e], starts[e + 1]
         r = pivots[e]
-        ii = idx[lo:hi]
-        vv = val[lo:hi]
-        pr = y[r] / vv[ii == r][0]
-        y[ii] -= vv * pr
+        pr = y[r] / pivvals[e]
+        y[idx[lo:hi]] -= val[lo:hi] * pr
         y[r] = pr
     return y
 
 
-def btran_etas(starts, idx, val, pivots, y):
+def btran_etas(starts, idx, val, pivots, pivvals, y):
     for e in range(pivots.shape[0] - 1, -1, -1):
         lo, hi = starts[e], starts[e + 1]
         r = pivots[e]
-        ii = idx[lo:hi]
-        vv = val[lo:hi]
-        wr = vv[ii == r][0]
-        dot = float(vv @ y[ii]) - wr * y[r]
+        wr = pivvals[e]
+        dot = float(val[lo:hi] @ y[idx[lo:hi]]) - wr * y[r]
         y[r] = (y[r] - dot) / wr
     return y

@@ -1,4 +1,4 @@
-"""End-to-end runs: load/generate -> weights -> LP -> solve -> round -> certify.
+"""End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
@@ -56,7 +56,7 @@ from .rounding import (
     round_alg1,
     round_alg2,
 )
-from .simplex import SolverConfig, solve
+from .simplex import SolverConfig, solve, verify_solution
 
 SCHEMA_VERSION = 1
 
@@ -312,6 +312,11 @@ def run(config: RunConfig) -> Report:
         result = solve(problem, solver_cfg, start_values=start)
         if result.status != "optimal":
             raise SolverFailureError(f"solver returned status {result.status}")
+    with stage("check", timings):
+        # round only a point that satisfies every row and bound
+        check = verify_solution(problem, result.solution, tol=config.certificate_tol)
+        if not check.ok:
+            raise SolverFailureError(f"LP point infeasible: {check.summary()}")
     with stage("round", timings):
         rec = choose_params(config, mixed, relaxation, n)
         if rec.algorithm == "alg1":

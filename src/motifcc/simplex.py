@@ -10,17 +10,27 @@ Design notes:
   p x p sparse LU (scipy splu) on the rows not covered by basic slacks,
   where p = number of basic structural columns.  Between refactorizations
   pivots are absorbed by a product-form eta file (kernels.ftran_etas /
-  btran_etas).
+  btran_etas) that stores each eta's pivot value next to its column.
+* The basis is refactored after REFACTOR_EVERY pivots or once the eta file
+  holds ``eta_budget`` entries, whichever comes first.  On the triangle-row
+  LPs the etas are dense (most of the m rows), so the budget fires about
+  every ten pivots and sets the schedule.  The eta file is allocated once
+  per solve with room for the budget plus one full column and is emptied,
+  never reallocated, at each refactorization.
+* Slack and artificial columns are never multiplied out: the pricing row
+  and the reduced costs take the structural part from a transposed copy of
+  the constraint matrix and each unit column from its row and sign.
 * Pricing is devex (Forrest-Goldfarb reference weights, lowest index on
   ties), with an automatic switch to Bland's rule after a run of
   degenerate pivots, which restores the anti-cycling guarantee; the ratio
-  test is a Harris-style two-pass with bound flips.
+  test is a Harris-style two-pass with bound flips, evaluated only at the
+  basis positions the entering column moves.
 * Infeasible starts (only possible for hand-written dumps or warm starts
   gone wrong — the clustering LPs have b = 0 and start feasible at the
   origin) go through a phase-1 with artificial columns.
 
 Everything is deterministic: ties break on the lowest index, and the
-refactorization schedule is fixed by iteration count.
+refactorization schedule is fixed by the pivot count and the eta-file size.
 """
 
 from __future__ import annotations
@@ -110,19 +120,19 @@ def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
         x = np.zeros(problem.num_vars)
         for name, value in solution.items():
             x[known[name]] = float(value)
-    out: list[Violation] = []
-    r = problem.A @ x
-    for i in range(problem.num_rows):
-        gap = r[i] - problem.rhs[i]
-        sense = problem.senses[i]
-        bad = (sense == -1 and gap > tol) or (sense == 1 and -gap > tol) or (sense == 0 and abs(gap) > tol)
-        if bad:
-            out.append(Violation("row", i, problem.row_names[i], abs(gap)))
-    for j in range(problem.num_vars):
-        if x[j] < problem.lb[j] - tol:
-            out.append(Violation("bound", j, problem.var_ids[j].name, problem.lb[j] - x[j]))
-        elif x[j] > problem.ub[j] + tol:
-            out.append(Violation("bound", j, problem.var_ids[j].name, x[j] - problem.ub[j]))
+    gap = problem.A @ x - problem.rhs
+    senses = problem.senses
+    bad_rows = np.nonzero(
+        ((senses == -1) & (gap > tol)) | ((senses == 1) & (-gap > tol)) | ((senses == 0) & (np.abs(gap) > tol))
+    )[0]
+    below = x < problem.lb - tol
+    above = ~below & (x > problem.ub + tol)
+    excess = np.where(below, problem.lb - x, x - problem.ub)
+    out = [Violation("row", int(i), problem.row_names[i], float(abs(gap[i]))) for i in bad_rows]
+    out += [
+        Violation("bound", int(j), problem.var_ids[j].name, float(excess[j]))
+        for j in np.nonzero(below | above)[0]
+    ]
     return ViolationReport(out, tol)
 
 
@@ -146,17 +156,18 @@ class _Basis:
         covered = np.zeros(m, dtype=bool)
         covered[self.slack_rows] = True
         self.F = np.nonzero(~covered)[0]
-        if len(self.F) != len(self.spos) or len(np.unique(self.slack_rows)) != len(self.slack_rows):
+        # m basis positions: a repeated slack row leaves more than p rows uncovered
+        if len(self.F) + len(self.slack_rows) != m:
             raise SolverFailureError("singular basis: row/column count mismatch")
-        svars = basic[self.spos]
-        cols = A_ext[:, svars] if len(svars) else sp.csc_matrix((m, 0))
         self.p = len(self.spos)
         if self.p:
-            cols_csr = cols.tocsr()
-            sub = cols_csr[self.F, :].tocsc()
-            # rows covered by basic unit columns, sliced once (hot path below)
-            self.slack_block = cols_csr[self.slack_rows, :].tocsc()
-            self.slack_block_T = self.slack_block.T.tocsc()
+            cols = A_ext[:, basic[self.spos]]
+            sub = cols[self.F, :]
+            # rows covered by basic unit columns, sliced once (hot path below);
+            # sorted indices keep the matvec summation order canonical
+            self.slack_block = cols[self.slack_rows, :]
+            self.slack_block.sort_indices()
+            self.slack_block_T = self.slack_block.T
             try:
                 self.lu = splu(sub)
             except RuntimeError as exc:
@@ -187,45 +198,48 @@ class _Basis:
 
 
 class _EtaFile:
-    """Product-form update columns, stored flat for the kernels."""
+    """Product-form update columns, stored flat for the kernels.
 
-    def __init__(self, cap: int = 1 << 16):
-        self.idx = np.empty(cap, dtype=np.int64)
-        self.val = np.empty(cap)
-        self.starts = np.zeros(1 << 10, dtype=np.int64)
-        self.pivots = np.empty(1 << 10, dtype=np.int64)
+    Allocated once per solve: ``max_entries`` and ``max_etas`` bound what the
+    file holds between two refactorizations, and ``clear`` empties it.
+    """
+
+    def __init__(self, max_entries: int, max_etas: int):
+        self.idx = np.empty(max_entries, dtype=np.int64)
+        self.val = np.empty(max_entries)
+        self.starts = np.zeros(max_etas + 1, dtype=np.int64)
+        self.pivots = np.empty(max_etas, dtype=np.int64)
+        self.pivvals = np.empty(max_etas)
         self.count = 0
         self.top = 0
 
-    def append(self, nz_idx: np.ndarray, nz_val: np.ndarray, pivot_pos: int):
+    def clear(self):
+        self.count = 0
+        self.top = 0
+
+    def append(self, nz_idx: np.ndarray, nz_val: np.ndarray, pivot_pos: int, pivot_val: float):
         need = self.top + len(nz_idx)
-        while need > len(self.idx):
-            self.idx = np.resize(self.idx, 2 * len(self.idx))
-            self.val = np.resize(self.val, 2 * len(self.val))
-        if self.count + 2 > len(self.starts):
-            self.starts = np.resize(self.starts, 2 * len(self.starts))
-            self.pivots = np.resize(self.pivots, 2 * len(self.pivots))
         self.idx[self.top : need] = nz_idx
         self.val[self.top : need] = nz_val
         self.top = need
         self.pivots[self.count] = pivot_pos
+        self.pivvals[self.count] = pivot_val
         self.count += 1
         self.starts[self.count] = self.top
 
+    def _args(self, y: np.ndarray) -> tuple:
+        c = self.count
+        return (self.starts[: c + 1], self.idx[: self.top], self.val[: self.top],
+                self.pivots[:c], self.pivvals[:c], y)
+
     def ftran(self, y: np.ndarray) -> np.ndarray:
         if self.count:
-            kernels.ftran_etas(
-                self.starts[: self.count + 1], self.idx[: self.top], self.val[: self.top],
-                self.pivots[: self.count], y,
-            )
+            kernels.ftran_etas(*self._args(y))
         return y
 
     def btran(self, y: np.ndarray) -> np.ndarray:
         if self.count:
-            kernels.btran_etas(
-                self.starts[: self.count + 1], self.idx[: self.top], self.val[: self.top],
-                self.pivots[: self.count], y,
-            )
+            kernels.btran_etas(*self._args(y))
         return y
 
 
@@ -243,6 +257,8 @@ class _Workspace:
         self.lb = np.concatenate([problem.lb, slack_lb])
         self.ub = np.concatenate([problem.ub, slack_ub])
         self.A = sp.hstack([problem.A, sp.eye(m, format="csc")], format="csc")
+        # structural rows of A^T; unit columns are priced from unit_row/unit_sign
+        self.AT_struct = self.A[:, :n].T
         self.b = problem.rhs.copy()
         self.c = np.concatenate([problem.obj, np.zeros(m)])
         self.N = n + m
@@ -250,6 +266,7 @@ class _Workspace:
         self.unit_row = np.concatenate([np.full(n, -1, dtype=np.int64), np.arange(m, dtype=np.int64)])
         self.unit_sign = np.concatenate([np.zeros(n), np.ones(m)])
         self.vstat = np.full(self.N, AT_LOWER, dtype=np.int8)
+        self.bounds_changed()
         finite_ub = np.isfinite(self.ub[:n])
         if start_values is not None:
             mid = (problem.lb + np.where(finite_ub, self.ub[:n], problem.lb + 2.0)) / 2.0
@@ -257,7 +274,6 @@ class _Workspace:
         self.basic = np.arange(n, self.N, dtype=np.int64)
         self.vstat[self.basic] = BASIC
         self.basis: _Basis | None = None
-        self.etas = _EtaFile()
         self.xB = np.zeros(m)
         self.iterations = 0
         self.pivots_since_refactor = 0
@@ -265,8 +281,10 @@ class _Workspace:
         self.total_flips = 0
         self.degenerate_run = 0
         self.devex = np.ones(self.N)
-        # eta-file entries before a forced refactorization
+        # eta-file entries before a forced refactorization; the file gets
+        # room for one more eta, which holds at most m entries
         self.eta_budget = max(1 << 16, 8 * m)
+        self.etas = _EtaFile(self.eta_budget + m, REFACTOR_EVERY)
         self.d: np.ndarray | None = None  # cached reduced costs (exact at refactor)
 
     # -------------------------------------------------------------- helpers
@@ -276,9 +294,13 @@ class _Workspace:
         x[self.basic] = 0.0
         return x
 
+    def bounds_changed(self):
+        """Recompute what is cached from ``lb``/``ub`` (phase 1 edits them)."""
+        self.free = self.ub - self.lb > 0
+
     def refactor(self):
         self.basis = _Basis(self.A, self.basic, self.m, self.unit_row, self.unit_sign)
-        self.etas = _EtaFile()
+        self.etas.clear()
         rhs = self.b - self.A @ self.nonbasic_values()
         self.xB = self.basis.ftran(rhs)
         self.pivots_since_refactor = 0
@@ -296,6 +318,13 @@ class _Workspace:
         v[self.A.indices[lo:hi]] = self.A.data[lo:hi]
         return v
 
+    def row_of(self, y: np.ndarray) -> np.ndarray:
+        """``y @ A`` without multiplying through the unit columns."""
+        out = np.empty(self.N)
+        out[: self.n] = self.AT_struct @ y
+        np.multiply(self.unit_sign[self.n :], y[self.unit_row[self.n :]], out=out[self.n :])
+        return out
+
     def full_values(self) -> np.ndarray:
         x = self.nonbasic_values()
         x[self.basic] = self.xB
@@ -305,10 +334,10 @@ class _Workspace:
 
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         y = self.btran(cost[self.basic].astype(float))
-        return cost - (y @ self.A)
+        return cost - self.row_of(y)
 
     def choose_entering(self, d: np.ndarray, use_bland: bool) -> int:
-        free = self.ub - self.lb > 0
+        free = self.free
         viol = np.where(
             (self.vstat == AT_LOWER) & free, -d, np.where((self.vstat == AT_UPPER) & free, d, -np.inf)
         )
@@ -324,7 +353,7 @@ class _Workspace:
         """Row r of B^-1 A (pre-pivot basis), for pricing updates."""
         e_r = np.zeros(self.m)
         e_r[r] = 1.0
-        return self.btran(e_r) @ self.A
+        return self.row_of(self.btran(e_r))
 
     def update_devex(self, j: int, leaving: int, aq: float, alpha: np.ndarray) -> None:
         """Forrest-Goldfarb weight update using the pivot row of B^-1 A."""
@@ -353,14 +382,16 @@ class _Workspace:
         w = self.ftran(self.column(j))
         delta = 0.1 * self.cfg.tol
         sw = sigma * w
-        lbB = self.lb[self.basic]
-        ubB = self.ub[self.basic]
         t_bound = self.ub[j] - self.lb[j]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            down = np.where(sw > 1e-10, (self.xB - lbB + delta) / sw, np.inf)
-            up = np.where(sw < -1e-10, (self.xB - ubB - delta) / sw, np.inf)
-        t_rel = np.minimum(down, up)
-        t_max = t_rel.min() if self.m else np.inf
+        # only positions the entering column moves can block it
+        abs_w = np.abs(w)
+        moving = np.nonzero(abs_w > 1e-10)[0]
+        sw_m = sw[moving]
+        x_m = self.xB[moving]
+        falls = sw_m > 0
+        basic_m = self.basic[moving]
+        gap = x_m - np.where(falls, self.lb[basic_m], self.ub[basic_m])
+        t_max = ((gap + np.where(falls, delta, -delta)) / sw_m).min() if len(moving) else np.inf
         if not np.isfinite(min(t_max, t_bound)):
             return "unbounded"
         if t_bound <= t_max:
@@ -371,24 +402,22 @@ class _Workspace:
             return "step"
         # Harris pass 2: among positions blocking within the relaxed step,
         # take the largest pivot element (lowest position on ties)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            strict_down = np.where(sw > 1e-10, (self.xB - lbB) / sw, np.inf)
-            strict_up = np.where(sw < -1e-10, (self.xB - ubB) / sw, np.inf)
-        strict = np.minimum(strict_down, strict_up)
+        strict = gap / sw_m
         cand = np.nonzero(strict <= t_max)[0]
         if not len(cand):
             cand = np.array([int(np.argmin(strict))])
-        r = int(cand[np.argmax(np.abs(w[cand]))])
+        k = int(cand[np.argmax(abs_w[moving[cand]])])
+        r = int(moving[k])
         if abs(w[r]) < 1e-11:
             if self.pivots_since_refactor:
                 self.refactor()
                 return self.step(cost, use_bland)
             raise SolverFailureError("numerically singular pivot column")
-        t = max(strict[r], 0.0)
+        t = max(strict[k], 0.0)
         leaving = int(self.basic[r])
         alpha = self.pivot_row(r)
         self.update_devex(j, leaving, w[r], alpha)
-        self.d = self.d - (self.d[j] / w[r]) * alpha
+        self.d -= (self.d[j] / w[r]) * alpha
         self.d[j] = 0.0
         self.xB -= sw * t
         enter_val = (self.lb[j] if sigma > 0 else self.ub[j]) + sigma * t
@@ -401,10 +430,9 @@ class _Workspace:
             self.vstat[leaving] = AT_LOWER
         self.basic[r] = j
         self.vstat[j] = BASIC
-        nz = np.nonzero(np.abs(w) > 1e-12)[0]
-        if r not in nz:
-            nz = np.append(nz, r)
-        self.etas.append(nz, w[nz], r)
+        # |w[r]| >= 1e-11, so the pivot position is among the stored entries
+        nz = np.nonzero(abs_w > 1e-12)[0]
+        self.etas.append(nz, w[nz], r, w[r])
         self.total_pivots += 1
         self.pivots_since_refactor += 1
         self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
@@ -493,6 +521,7 @@ def solve(
         # freeze artificials at zero for phase 2
         ws.lb[ws.n + ws.m :] = 0.0
         ws.ub[ws.n + ws.m :] = 0.0
+        ws.bounds_changed()
         ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
         ws.devex[:] = 1.0  # fresh reference framework for phase 2
 
@@ -522,6 +551,7 @@ def _phase1(ws: _Workspace, violated: np.ndarray) -> str:
     ws.A = sp.hstack([ws.A, art], format="csc")
     ws.lb = np.concatenate([ws.lb, np.zeros(n_art)])
     ws.ub = np.concatenate([ws.ub, np.full(n_art, np.inf)])
+    ws.bounds_changed()
     art_ids = np.arange(ws.N, ws.N + n_art, dtype=np.int64)
     ws.N += n_art
     ws.vstat = np.concatenate([ws.vstat, np.full(n_art, BASIC, dtype=np.int8)])

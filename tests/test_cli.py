@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from motifcc import pipeline
 from motifcc.cli import EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from motifcc.generators import make_fig2a
 from motifcc.lpmodel import build_lp2
@@ -57,6 +58,19 @@ class TestSolve:
         problem.to_text(str(dump))
         assert main(["solve", "--lp-dump", str(dump)]) == EXIT_SOLVER
         assert last_json(capsys)["status"] == "infeasible"
+
+    def test_infeasible_lp_point_exits_3(self, monkeypatch, capsys):
+        real_solve = pipeline.solve
+
+        def perturbed(problem, config, start_values=None):
+            result = real_solve(problem, config, start_values=start_values)
+            result.solution.values[0] = problem.ub[0] + 1e-4  # just past its bound
+            return result
+
+        monkeypatch.setattr(pipeline, "solve", perturbed)
+        assert main(["solve", "--generator", "fig2a", "--weights", "fig2"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "LP point infeasible" in err and "violations" in err
 
     def test_config_error_exits_2(self, capsys):
         # table1 weights without --method fails in the weights stage

@@ -19,9 +19,10 @@ def random_tuples(rng, n, k, T):
 
 
 def random_eta_file(rng, m, count):
-    """A well-conditioned product-form eta sequence plus its dense matrices."""
+    """A well-conditioned product-form eta sequence (with each eta's pivot
+    value) plus its dense matrices."""
     starts = [0]
-    idx, val, pivots = [], [], []
+    idx, val, pivots, pivvals = [], [], [], []
     mats = []
     for _ in range(count):
         r = int(rng.integers(m))
@@ -36,12 +37,14 @@ def random_eta_file(rng, m, count):
         idx.extend(rows.tolist())
         val.extend(vals.tolist())
         pivots.append(r)
+        pivvals.append(vals[0])
         starts.append(len(idx))
     return (
         np.array(starts, dtype=np.int64),
         np.array(idx, dtype=np.int64),
         np.array(val),
         np.array(pivots, dtype=np.int64),
+        np.array(pivvals),
         mats,
     )
 
@@ -85,33 +88,33 @@ class TestKernelSemantics:
         for seed in range(6):
             rng = np.random.default_rng(500 + seed)
             m = int(rng.integers(2, 7))
-            starts, idx, val, pivots, mats = random_eta_file(rng, m, int(rng.integers(1, 5)))
+            starts, idx, val, pivots, pivvals, mats = random_eta_file(rng, m, int(rng.integers(1, 5)))
             M = np.eye(m)
             for E in mats:
                 M = M @ E
             v = rng.normal(size=m)
-            got = kernels.ftran_etas(starts, idx, val, pivots, v.copy())
+            got = kernels.ftran_etas(starts, idx, val, pivots, pivvals, v.copy())
             np.testing.assert_allclose(got, np.linalg.solve(M, v), atol=1e-9)
 
     def test_btran_matches_dense_transpose_solve(self):
         for seed in range(6):
             rng = np.random.default_rng(600 + seed)
             m = int(rng.integers(2, 7))
-            starts, idx, val, pivots, mats = random_eta_file(rng, m, int(rng.integers(1, 5)))
+            starts, idx, val, pivots, pivvals, mats = random_eta_file(rng, m, int(rng.integers(1, 5)))
             M = np.eye(m)
             for E in mats:
                 M = M @ E
             u = rng.normal(size=m)
-            got = kernels.btran_etas(starts, idx, val, pivots, u.copy())
+            got = kernels.btran_etas(starts, idx, val, pivots, pivvals, u.copy())
             np.testing.assert_allclose(got, np.linalg.solve(M.T, u), atol=1e-9)
 
     def test_ftran_btran_adjoint_identity(self):
         rng = np.random.default_rng(99)
         m = 6
-        starts, idx, val, pivots, _ = random_eta_file(rng, m, 4)
+        starts, idx, val, pivots, pivvals, _ = random_eta_file(rng, m, 4)
         u, v = rng.normal(size=m), rng.normal(size=m)
-        lhs = kernels.btran_etas(starts, idx, val, pivots, u.copy()) @ v
-        rhs = u @ kernels.ftran_etas(starts, idx, val, pivots, v.copy())
+        lhs = kernels.btran_etas(starts, idx, val, pivots, pivvals, u.copy()) @ v
+        rhs = u @ kernels.ftran_etas(starts, idx, val, pivots, pivvals, v.copy())
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_split_mask_definition(self):

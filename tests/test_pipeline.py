@@ -257,6 +257,11 @@ class TestRun:
         assert stages <= set(report.timings)
         assert all(report.timings[s] >= 0.0 for s in stages)
 
+    def test_lp_point_checked_before_rounding(self):
+        report = run(RunConfig.from_dict(FIG2A))
+        assert report.timings["check"] >= 0.0
+        assert list(report.timings).index("check") == list(report.timings).index("solve") + 1
+
 
 class TestCompare:
     def test_rows_and_reference(self):
