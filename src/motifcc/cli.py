@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-solve     full pipeline (instance -> weights -> LP -> simplex -> rounding ->
-          certificate), or a standalone solve of a problem dump (--lp-dump)
+solve     full pipeline (instance -> weights -> LP -> simplex, adding the
+          violated triangle rows -> rounding -> certificate), or a
+          standalone solve of a problem dump (--lp-dump)
 round     apply a rounding procedure to a saved fractional solution
 exact     exhaustive minimum-disagreement search (small n)
 baseline  randomized vertex- or edge-pivot heuristics
@@ -76,6 +77,13 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--undirected", action="store_true", help="mirror every input arc")
     p.add_argument("--zero-based", action="store_true", help="input vertices start at 0")
+    p.add_argument(
+        "--num-vertices",
+        type=int,
+        metavar="N",
+        help="vertex count of the --input graph (default: its largest label), "
+        "so isolated top vertices are kept",
+    )
 
 
 def _add_weight_args(p: argparse.ArgumentParser) -> None:
@@ -96,6 +104,7 @@ def _config_from_args(args) -> RunConfig:
         generator_args=dict(args.generator_arg),
         undirected=args.undirected,
         zero_based=args.zero_based,
+        num_vertices=args.num_vertices,
         weights=args.weights,
         method=args.method,
         relaxation=getattr(args, "relaxation", "auto"),

@@ -101,7 +101,8 @@ def load_edge_list(
 
     ``undirected=True`` symmetrizes every line into both arcs.
     ``zero_based=True`` shifts labels up by one so output is 1-based.
-    ``n`` defaults to the maximum label seen.
+    ``n`` defaults to the maximum label seen; pass it when the top vertex
+    may be isolated.  A label outside 1..n raises InvalidVertexError.
     """
     arcs: set[tuple[int, int]] = set()
     with open(path, encoding="utf-8") as fh:
@@ -112,7 +113,12 @@ def load_edge_list(
             parts = line.split()
             if len(parts) != 2:
                 raise InvalidParameterError(f"{path}:{lineno}: expected 'u<TAB>v', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: vertex labels must be integers, got {raw!r}"
+                ) from None
             if zero_based:
                 u, v = u + 1, v + 1
             arcs.add((u, v))

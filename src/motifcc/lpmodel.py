@@ -11,6 +11,13 @@ Three builders produce ``LpProblem`` instances over [0,1]-bounded variables:
   {u,v} is identified with z_uv.
 * ``build_lp2`` — the single-layer case of ``build_lp3``.
 
+``build_lp3`` is ``build_lp3_core`` (everything but the triangle rows)
+plus ``add_triangle_rows`` over ``all_triangles(n)``.  The pipeline solves
+the core instead and adds only the triangle rows that
+``separate_triangles`` finds violated at the current LP point, since few of
+the 3·C(n,3) rows ever bind; the full build stays for dumps, ``verify``
+and the tests.
+
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
 comparable with ``evaluate_objective`` on integral partitions.
@@ -99,7 +106,8 @@ class LpProblem:
 
     Rows are stored sparse (CSR) with senses coded -1/0/+1 for <=/=/>=.
     ``census`` maps structural-constraint family names to their counts; the
-    family "unit_cap" is realized as variable bounds rather than rows.
+    family "unit_cap" is realized as variable bounds rather than rows, and
+    "triangle_active" says how many of the "triangle" family are rows.
     """
 
     def __init__(
@@ -146,8 +154,10 @@ class LpProblem:
 
     @property
     def structural_constraint_count(self) -> int:
-        """Census total, including cap families carried as bounds."""
-        return sum(self.census.values())
+        """Census total, including cap families carried as bounds and
+        triangle rows left out of the matrix ("triangle_active" counts the
+        triangle rows present, a part of "triangle", so it is not added)."""
+        return sum(v for family, v in self.census.items() if family != "triangle_active")
 
     def index_of(self, vid: VarId) -> int:
         return self.col_index[vid]
@@ -461,13 +471,102 @@ def _emit_pair_rows(
         )
 
 
-def _emit_triangle_rows(rows: _RowBuilder, n: int, zcol: dict[KTuple, int]) -> None:
-    """All 3·C(n,3) metric rows: z_{bc} <= z_{ab} + z_{ac} for each apex."""
-    for a, b, c in combinations(range(1, n + 1), 3):
-        ab, ac, bc = zcol[(a, b)], zcol[(a, c)], zcol[(b, c)]
-        rows.add(f"tri_{a}_{b}_{c}_a{a}", (bc, ab, ac), (1.0, -1.0, -1.0), "<=", 0.0)
-        rows.add(f"tri_{a}_{b}_{c}_a{b}", (ac, ab, bc), (1.0, -1.0, -1.0), "<=", 0.0)
-        rows.add(f"tri_{a}_{b}_{c}_a{c}", (ab, ac, bc), (1.0, -1.0, -1.0), "<=", 0.0)
+def all_triangles(n: int) -> np.ndarray:
+    """Every triangle row of the metric on 1..n as (a, b, c, apex) rows,
+    a < b < c, in canonical order: triples lexicographic, then apex a, b, c."""
+    if n < 3:
+        return np.empty((0, 4), dtype=np.int64)
+    abc = np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64)
+    return np.column_stack([np.repeat(abc, 3, axis=0), abc.ravel()])
+
+
+def _pair_column_matrix(problem: LpProblem) -> np.ndarray | None:
+    """Symmetric (n+1)x(n+1) matrix of z-column indices (-1 where there is
+    no z variable), or None for an LP without pair variables."""
+    pairs = [(vid.key, j) for j, vid in enumerate(problem.var_ids) if vid.kind == "pair"]
+    if not pairs:
+        return None
+    n = max(key[1] for key, _ in pairs)
+    zc = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    for (u, v), j in pairs:
+        zc[u, v] = zc[v, u] = j
+    return zc
+
+
+def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
+    """``core`` with one metric row z_qr <= z_pq + z_pr appended per
+    (a, b, c, apex p) row of ``triangles``, in the given order; q < r are
+    the two other vertices.  The census's ``triangle_active`` counts them.
+
+    This is the only place triangle rows are written: ``build_lp3`` passes
+    ``all_triangles(n)``, the pipeline the rows separation found violated.
+    """
+    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 4)
+    m = len(tri)
+    if not m:
+        return core
+    zc = _pair_column_matrix(core)
+    if zc is None:
+        raise InvalidParameterError(f"LP {core.name} has no pair variables for triangle rows")
+    abc, p = tri[:, :3], tri[:, 3]
+    others = abc[abc != p[:, None]].reshape(m, 2)
+    q, r = others[:, 0], others[:, 1]
+    cols = np.column_stack([zc[q, r], zc[p, q], zc[p, r]])
+    block = sp.csr_matrix(
+        (np.tile([1.0, -1.0, -1.0], m), cols.ravel(), np.arange(0, 3 * m + 1, 3)),
+        shape=(m, core.num_vars),
+    )
+    names = [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in tri.tolist()]
+    census = dict(core.census, triangle_active=core.census.get("triangle_active", 0) + m)
+    return LpProblem(
+        core.name,
+        core.var_ids,
+        core.obj,
+        core.offset,
+        sp.vstack([core.A, block], format="csr"),
+        np.concatenate([core.senses, np.full(m, _SENSE_CODE["<="], dtype=np.int8)]),
+        np.concatenate([core.rhs, np.zeros(m)]),
+        core.row_names + names,
+        census=census,
+        lb=core.lb,
+        ub=core.ub,
+    )
+
+
+def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np.ndarray:
+    """The triangle rows z_qr <= z_pq + z_pr that the point ``values``
+    violates by more than ``tol``, as (a, b, c, apex) rows in canonical
+    order (see ``all_triangles``); rows already in ``problem`` included.
+
+    The violation is evaluated as (z_qr - z_pq) - z_pr, the order in which
+    a row's sparse product sums its terms, so the result equals the set of
+    rows with ``A_tri @ x - rhs > tol``.  Work and memory are O(n^2) per
+    apex.  An LP without pair variables has no triangle rows to violate.
+    """
+    zc = _pair_column_matrix(problem)
+    if zc is None:
+        return np.empty((0, 4), dtype=np.int64)
+    n = zc.shape[0] - 1
+    values = np.asarray(values, dtype=float)
+    Z = np.zeros((n + 1, n + 1))
+    has = zc >= 0
+    Z[has] = values[zc[has]]
+    Z = Z[1:, 1:]  # vertex v at index v - 1
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    found = []
+    for p in range(n):
+        viol = (Z - Z[p, :, None]) - Z[p, None, :] > tol
+        viol &= upper
+        viol[p, :] = False
+        viol[:, p] = False
+        q, r = np.nonzero(viol)
+        if len(q):
+            found.append(np.column_stack([np.full(len(q), p), q, r]))
+    if not found:
+        return np.empty((0, 4), dtype=np.int64)
+    pqr = np.concatenate(found) + 1
+    tri = np.column_stack([np.sort(pqr, axis=1), pqr[:, 0]])
+    return tri[np.lexsort(tri.T[::-1])]
 
 
 def build_lp2(
@@ -482,7 +581,17 @@ def build_lp3(
     mixed: MixedWeights, n: int, *, max_constraints: int | None = None
 ) -> LpProblem:
     """Multi-layer LP: per-layer tuple variables (k >= 3) over one shared
-    pair metric; a k=2 layer contributes objective terms on z directly."""
+    pair metric; a k=2 layer contributes objective terms on z directly.
+    Every one of the 3·C(n,3) triangle rows is materialized."""
+    return add_triangle_rows(build_lp3_core(mixed, n, max_constraints=max_constraints), all_triangles(n))
+
+
+def build_lp3_core(
+    mixed: MixedWeights, n: int, *, max_constraints: int | None = None
+) -> LpProblem:
+    """``build_lp3`` without its triangle rows: the variables, objective and
+    tuple-row families.  The census keeps the closed-form "triangle" count;
+    ``add_triangle_rows`` appends the rows a solve needs."""
     for layer in mixed:
         _check_weights_n(layer.weights, n)
     cap = LP2_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
@@ -523,10 +632,10 @@ def build_lp3(
         census["pair_floor"] += len(layer_tuples[layer.k]) * math.comb(layer.k, 2)
         census["pair_sum_cap"] += len(layer_tuples[layer.k])
         census["unit_cap"] += len(layer_tuples[layer.k])
-    _emit_triangle_rows(rows, n, zcol)
     census["triangle"] = 3 * math.comb(n, 3)
     if not any(l.k >= 3 for l in mixed):
         census = {"triangle": census["triangle"]}
+    census["triangle_active"] = 0
     A, senses, rhs, names = rows.build()
     ks = "-".join(str(l.k) for l in mixed)
     return LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, A, senses, rhs, names, census=census)

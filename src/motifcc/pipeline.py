@@ -1,5 +1,13 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
+LP2 and LP3 are built without their 3·C(n,3) triangle rows.  The solve
+stage solves that core LP, adds the triangle rows the optimum violates
+(``separate_triangles`` at the solver tolerance) and solves again, each
+round from the same greedy warm start, until no omitted row is violated;
+that optimum is then optimal for the full LP.  The check stage verifies
+the point against the rows it was solved with and separates once more at
+the certificate tolerance, so every row of the full LP is checked.
+
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
 quarantined under one key so reports are byte-identical across repeats of
@@ -34,12 +42,13 @@ from .graph import (
 )
 from .lpmodel import (
     LpProblem,
+    add_triangle_rows,
     build_lp1,
-    build_lp2,
-    build_lp3,
+    build_lp3_core,
     evaluate_objective,
     induced_point,
     per_class_breakdown,
+    separate_triangles,
 )
 from .motifs import MixedWeights, build_table1_weights, weights_from_config
 from .generators import (
@@ -56,7 +65,7 @@ from .rounding import (
     round_alg1,
     round_alg2,
 )
-from .simplex import SolverConfig, solve, verify_solution
+from .simplex import SolverConfig, SolverResult, solve, verify_solution
 
 SCHEMA_VERSION = 1
 
@@ -68,6 +77,7 @@ class RunConfig:
     generator_args: dict = field(default_factory=dict)
     undirected: bool = False
     zero_based: bool = False
+    num_vertices: int | None = None  # vertex count of an --input edge list (default: top label)
     weights: object = None  # "table1" | "fig2" | "anomaly[:w]" | "layered-flow[:w]" | dict | *.json path
     method: str | None = None  # CC | MCC | MMCC (with weights="table1")
     relaxation: str = "auto"  # LP1 | LP2 | LP3 | auto
@@ -154,9 +164,14 @@ def load_instance(config: RunConfig) -> tuple[DirectedGraph, dict]:
         raise InvalidParameterError("exactly one of input path or generator must be given")
     if config.input is not None:
         graph = load_edge_list(
-            config.input, undirected=config.undirected, zero_based=config.zero_based
+            config.input,
+            n=config.num_vertices,
+            undirected=config.undirected,
+            zero_based=config.zero_based,
         )
         return graph, {"input": config.input}
+    if config.num_vertices is not None:
+        raise InvalidParameterError("num_vertices applies to an input edge list, not a generator")
     if config.generator not in GENERATORS:
         raise InvalidParameterError(
             f"unknown generator {config.generator!r}; have {sorted(GENERATORS)}"
@@ -218,11 +233,40 @@ def pick_relaxation(config: RunConfig, mixed: MixedWeights) -> str:
 
 
 def build_relaxation(relaxation: str, mixed: MixedWeights, n: int) -> LpProblem:
+    """LP1 in full; LP2/LP3 without triangle rows (``solve_relaxation``
+    adds those it needs)."""
     if relaxation == "LP1":
         return build_lp1(mixed.layers[0].weights, n)
     if relaxation == "LP2":
-        return build_lp2(mixed.layers[0].weights, n)
-    return build_lp3(mixed, n)
+        return build_lp3_core(MixedWeights.single(mixed.layers[0].weights), n)
+    return build_lp3_core(mixed, n)
+
+
+def solve_relaxation(
+    core: LpProblem, config: SolverConfig, start: np.ndarray | None
+) -> tuple[LpProblem, list[SolverResult]]:
+    """Solve ``core``, add the triangle rows its optimum violates beyond
+    ``config.tol`` and solve again, until a round adds no row.  Returns the
+    last LP solved (core plus the active rows, in ``build_lp3`` order) and
+    every round's result; the last one is optimal for the full LP.
+
+    Every round starts from ``start``: an integral partition satisfies all
+    triangle rows, so no round needs phase 1.
+    """
+    problem = core
+    active = np.empty((0, 4), dtype=np.int64)
+    rounds: list[SolverResult] = []
+    while True:
+        result = solve(problem, config, start_values=start)
+        rounds.append(result)
+        if result.status != "optimal":
+            raise SolverFailureError(f"solver returned status {result.status} in round {len(rounds)}")
+        violated = separate_triangles(problem, result.solution.values, config.tol)
+        merged = np.unique(np.concatenate([active, violated]), axis=0)
+        if len(merged) == len(active):
+            return problem, rounds
+        active = merged
+        problem = add_triangle_rows(core, active)
 
 
 def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: int) -> Recommendation:
@@ -309,14 +353,21 @@ def run(config: RunConfig) -> Report:
         with stage("warm_start", timings):
             start = induced_point(greedy_partition(mixed, n), problem).values
     with stage("solve", timings):
-        result = solve(problem, solver_cfg, start_values=start)
-        if result.status != "optimal":
-            raise SolverFailureError(f"solver returned status {result.status}")
+        problem, rounds = solve_relaxation(problem, solver_cfg, start)
+        result = rounds[-1]
     with stage("check", timings):
-        # round only a point that satisfies every row and bound
+        # round only a point that satisfies every row and bound, including
+        # the triangle rows the solve left out
         check = verify_solution(problem, result.solution, tol=config.certificate_tol)
         if not check.ok:
             raise SolverFailureError(f"LP point infeasible: {check.summary()}")
+        missed = separate_triangles(problem, result.solution.values, config.certificate_tol)
+        if len(missed):
+            a, b, c, apex = missed[0].tolist()
+            raise SolverFailureError(
+                f"LP point violates {len(missed)} omitted triangle rows "
+                f"(first tri_{a}_{b}_{c}_a{apex}) at tol {config.certificate_tol:g}"
+            )
     with stage("round", timings):
         rec = choose_params(config, mixed, relaxation, n)
         if rec.algorithm == "alg1":
@@ -369,12 +420,14 @@ def run(config: RunConfig) -> Report:
         solver={
             "engine": config.engine,
             "status": result.status,
-            "iterations": result.iterations,
-            "pivots": result.pivots,
-            "bound_flips": result.bound_flips,
+            "iterations": sum(r.iterations for r in rounds),
+            "pivots": sum(r.pivots for r in rounds),
+            "bound_flips": sum(r.bound_flips for r in rounds),
+            "row_rounds": len(rounds),
+            "rows_in_lp": problem.num_rows,
             "warm_start": start is not None,
         },
-        timings={**timings, "solver_wall": result.wall_time},
+        timings={**timings, "solver_wall": sum(r.wall_time for r in rounds)},
     )
     if config.out:
         report.write(config.out)

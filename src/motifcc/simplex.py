@@ -105,7 +105,8 @@ class ViolationReport:
 
 def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
     """Independent feasibility check: every row and bound violated beyond
-    ``tol`` is listed; an empty report means feasible.
+    ``tol`` is listed, and so is every NaN or infinite value or row
+    activity; an empty report means feasible.
 
     ``solution`` may be a FractionalSolution or a variable-name -> value
     mapping (unknown names rejected, missing names default to 0).
@@ -122,16 +123,24 @@ def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
             x[known[name]] = float(value)
     gap = problem.A @ x - problem.rhs
     senses = problem.senses
+    # every comparison with NaN is false, so non-finite values are caught
+    # on their own and reported as an infinite violation
+    bad_gap = ~np.isfinite(gap)
     bad_rows = np.nonzero(
-        ((senses == -1) & (gap > tol)) | ((senses == 1) & (-gap > tol)) | ((senses == 0) & (np.abs(gap) > tol))
+        bad_gap
+        | ((senses == -1) & (gap > tol))
+        | ((senses == 1) & (-gap > tol))
+        | ((senses == 0) & (np.abs(gap) > tol))
     )[0]
+    bad_x = ~np.isfinite(x)
     below = x < problem.lb - tol
     above = ~below & (x > problem.ub + tol)
-    excess = np.where(below, problem.lb - x, x - problem.ub)
-    out = [Violation("row", int(i), problem.row_names[i], float(abs(gap[i]))) for i in bad_rows]
+    excess = np.where(bad_x, np.inf, np.where(below, problem.lb - x, x - problem.ub))
+    gap = np.where(bad_gap, np.inf, np.abs(gap))
+    out = [Violation("row", int(i), problem.row_names[i], float(gap[i])) for i in bad_rows]
     out += [
         Violation("bound", int(j), problem.var_ids[j].name, float(excess[j]))
-        for j in np.nonzero(below | above)[0]
+        for j in np.nonzero(bad_x | below | above)[0]
     ]
     return ViolationReport(out, tol)
 

@@ -8,7 +8,7 @@ import pytest
 from motifcc import pipeline
 from motifcc.cli import EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
 from motifcc.generators import make_fig2a
-from motifcc.lpmodel import build_lp2
+from motifcc.lpmodel import VarId, build_lp2
 from motifcc.motifs import MixedWeights, MotifWeights, WeightRule
 
 from test_simplex import LinearConstraint, make_problem, v
@@ -72,6 +72,21 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "LP point infeasible" in err and "violations" in err
 
+    def test_omitted_triangle_row_violation_exits_3(self, monkeypatch, capsys):
+        # a solver tolerance looser than the certificate's lets the rounds
+        # stop on a point that violates a triangle row they never added
+        real_solve = pipeline.solve
+
+        def perturbed(problem, config, start_values=None):
+            result = real_solve(problem, config, start_values=start_values)
+            result.solution.values[problem.index_of(VarId.pair_var(2, 3))] += 5e-4
+            return result
+
+        monkeypatch.setattr(pipeline, "solve", perturbed)
+        argv = ["solve", "--generator", "fig2a", "--method", "CC", "--tol", "1e-3"]
+        assert main(argv) == EXIT_SOLVER
+        assert "omitted triangle rows (first tri_1_2_3_a1)" in capsys.readouterr().err
+
     def test_config_error_exits_2(self, capsys):
         # table1 weights without --method fails in the weights stage
         code = main(["solve", "--generator", "fig2a", "--weights", "table1"])
@@ -84,6 +99,50 @@ class TestSolve:
     def test_unreadable_input_exits_2(self, capsys, tmp_path):
         missing = tmp_path / "nope.txt"
         assert main(["solve", "--input", str(missing), "--weights", "fig2"]) == EXIT_CONFIG
+
+
+INSTANCE_COMMANDS = {
+    "solve": ["solve", "--method", "CC"],
+    "exact": ["exact", "--method", "CC"],
+    "baseline": ["baseline", "--method", "CC", "--kind", "vertex"],
+}
+
+
+class TestEdgeListInput:
+    @pytest.mark.parametrize("line", ["1\tx", "1\t2.5"])
+    @pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+    def test_malformed_label_exits_2_naming_the_line(self, command, line, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text(f"1\t2\n{line}\n")
+        assert main([*INSTANCE_COMMANDS[command], "--input", str(edges)]) == EXIT_CONFIG
+        assert f"{edges}:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+    def test_num_vertices_keeps_an_isolated_top_vertex(self, command, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1\t2\n2\t3\n4\t5\n5\t6\n7\t8\n8\t9\n")
+        argv = [*INSTANCE_COMMANDS[command], "--input", str(edges), "--undirected"]
+        assert main([*argv, "--num-vertices", "10"]) == EXIT_OK
+        payload = last_json(capsys)
+        assert sorted(v for c in payload["clusters"] for v in c) == list(range(1, 11))
+        if command == "solve":
+            assert payload["n"] == 10
+            assert payload["config"]["num_vertices"] == 10
+        # without the flag the top label sets n
+        assert main(argv) == EXIT_OK
+        assert sorted(v for c in last_json(capsys)["clusters"] for v in c) == list(range(1, 10))
+
+    @pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+    def test_label_above_num_vertices_exits_2(self, command, tmp_path, capsys):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1\t2\n2\t11\n")
+        argv = [*INSTANCE_COMMANDS[command], "--input", str(edges), "--num-vertices", "10"]
+        assert main(argv) == EXIT_CONFIG
+        assert "outside [1..10]" in capsys.readouterr().err
+
+    def test_num_vertices_needs_an_input_file(self, capsys):
+        argv = ["solve", "--generator", "fig2a", "--method", "CC", "--num-vertices", "6"]
+        assert main(argv) == EXIT_CONFIG
 
 
 class TestRoundCommand:
@@ -277,6 +336,18 @@ class TestVerifyCommand:
         sol.write_text(json.dumps(payload))
         assert main(["verify", "--problem", str(dump), "--solution", str(sol)]) == EXIT_CERTIFICATE
         assert "violation" in capsys.readouterr().out.lower()
+
+    def test_nan_solution_exits_4(self, tmp_path, capsys):
+        dump = tmp_path / "problem.lp.txt"
+        fig2a_lp2().to_text(str(dump))
+        sol = tmp_path / "solution.json"
+        main(["solve", "--lp-dump", str(dump), "--solution-out", str(sol)])
+        capsys.readouterr()
+        payload = json.loads(sol.read_text())
+        payload["values"] = {name: float("nan") for name in payload["values"]}
+        sol.write_text(json.dumps(payload))  # json writes the bare token NaN
+        assert main(["verify", "--problem", str(dump), "--solution", str(sol)]) == EXIT_CERTIFICATE
+        assert "violations (worst inf)" in capsys.readouterr().out
 
     def test_name_map_accepted(self, tmp_path, capsys):
         problem = make_problem(

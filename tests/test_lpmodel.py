@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifcc import (
     DirectedGraph,
@@ -24,7 +25,13 @@ from motifcc import (
     verify_solution,
 )
 from motifcc.generators import karate
-from motifcc.lpmodel import LpProblem
+from motifcc.lpmodel import (
+    LpProblem,
+    add_triangle_rows,
+    all_triangles,
+    build_lp3_core,
+    separate_triangles,
+)
 from motifcc.motifs import Layer, MixedWeights, MotifWeights, WeightRule, directed_cycle_rule
 
 from conftest import all_partitions, brute_force_cost, ref_tuple_weight
@@ -189,8 +196,58 @@ class TestBuildLp3:
     def test_k2_only_has_just_triangles(self, two_triangle_graph):
         cc = build_table1_weights("CC", two_triangle_graph)
         lp = build_lp3(cc, 6)
-        assert lp.census == {"triangle": 3 * math.comb(6, 3)}
+        assert lp.census == {"triangle": 3 * math.comb(6, 3), "triangle_active": 3 * math.comb(6, 3)}
         assert all(vid.kind == "pair" for vid in lp.var_ids)
+
+
+def _core_and_full(n: int, with_tuples: bool) -> tuple[LpProblem, LpProblem]:
+    mixed = build_table1_weights("MCC" if with_tuples else "CC", DirectedGraph.from_arcs(n, []))
+    return build_lp3_core(mixed, n), build_lp3(mixed, n)
+
+
+class TestTriangleRows:
+    def test_canonical_order_is_the_full_builders(self, mcc_weights):
+        lp = build_lp2(mcc_weights.layers[0].weights, 6)
+        tri = all_triangles(6)
+        assert len(tri) == lp.census["triangle"] == lp.census["triangle_active"]
+        names = [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in tri.tolist()]
+        assert lp.row_names[-len(tri):] == names
+
+    def test_core_plus_rows_is_a_row_subset_of_the_full_lp(self, mmcc_weights):
+        full = build_lp3(mmcc_weights, 6)
+        core = build_lp3_core(mmcc_weights, 6)
+        assert core.census == {**full.census, "triangle_active": 0}
+        assert core.structural_constraint_count == full.structural_constraint_count
+        assert not any(name.startswith("tri_") for name in core.row_names)
+        picked = np.array([0, 7, 8, 31, 59])
+        lazy = add_triangle_rows(core, all_triangles(6)[picked])
+        rows = np.concatenate([np.arange(core.num_rows), core.num_rows + picked])
+        assert lazy.row_names == [full.row_names[i] for i in rows]
+        assert (lazy.A != full.A[rows]).nnz == 0
+        assert np.array_equal(lazy.senses, full.senses[rows])
+        assert lazy.census["triangle_active"] == len(picked)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_separation_equals_brute_force(self, data):
+        n = data.draw(st.integers(3, 9), label="n")
+        with_tuples = data.draw(st.booleans(), label="with_tuples")
+        tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-7, 0.05]), label="tol")
+        core, full = _core_and_full(n, with_tuples)
+        unit = st.floats(0.0, 1.0, allow_nan=False)
+        z = data.draw(st.lists(unit, min_size=math.comb(n, 2), max_size=math.comb(n, 2)), label="z")
+        x = np.zeros(full.num_vars)
+        x[full.num_vars - len(z):] = z  # z columns come last
+        first = full.num_rows - full.census["triangle"]
+        gap = full.A[first:] @ x - full.rhs[first:]
+        want = all_triangles(n)[np.nonzero(gap > tol)[0]]
+        assert np.array_equal(separate_triangles(full, x, tol), want)
+        # the rows an LP holds do not change what is separated
+        assert np.array_equal(separate_triangles(core, x, tol), want)
+
+    def test_no_pair_variables_no_rows(self, mcc_weights):
+        lp = build_lp1(mcc_weights.layers[0].weights, 6)
+        assert separate_triangles(lp, np.ones(lp.num_vars), 1e-7).shape == (0, 4)
 
 
 class TestInducedPoint:

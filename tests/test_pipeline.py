@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from motifcc.errors import InvalidParameterError, StageError
+from motifcc import pipeline
+from motifcc.errors import InvalidParameterError, SolverFailureError, StageError
 from motifcc.generators import make_fig2a
 from motifcc.graph import Partition, write_edge_list
-from motifcc.lpmodel import evaluate_objective
+from motifcc.lpmodel import build_lp2, build_lp3, count_upsilon, evaluate_objective
 from motifcc.motifs import MixedWeights, MotifWeights, WeightRule, build_table1_weights
 from motifcc.pipeline import (
     Report,
@@ -261,6 +263,73 @@ class TestRun:
         report = run(RunConfig.from_dict(FIG2A))
         assert report.timings["check"] >= 0.0
         assert list(report.timings).index("check") == list(report.timings).index("solve") + 1
+
+
+def full_relaxation(relaxation, mixed, n):
+    """``build_relaxation`` with every triangle row materialized."""
+    if relaxation == "LP2":
+        return build_lp2(mixed.layers[0].weights, n)
+    return build_lp3(mixed, n)
+
+
+def planted_edges(path, n=12, blocks=3, seed=12):
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) % blocks
+    path.write_text(
+        "".join(
+            f"{u + 1}\t{v + 1}\n"
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < (0.8 if block[u] == block[v] else 0.1)
+        )
+    )
+    return str(path)
+
+
+class TestTriangleRounds:
+    @pytest.mark.parametrize("engine", ["simplex", "scipy"])
+    @pytest.mark.parametrize("case", ["fig2b-lp2", "planted12-mmcc"])
+    def test_same_answer_as_the_full_lp(self, case, engine, monkeypatch, tmp_path):
+        if case == "fig2b-lp2":
+            cfg = {"generator": "fig2b", "generator_args": {"n": 10}, "weights": "fig2", "relaxation": "LP2"}
+        else:
+            cfg = {"input": planted_edges(tmp_path / "planted.txt"), "undirected": True, "method": "MMCC"}
+        lazy = run(RunConfig.from_dict({**cfg, "engine": engine}))
+        monkeypatch.setattr(pipeline, "build_relaxation", full_relaxation)
+        full = run(RunConfig.from_dict({**cfg, "engine": engine}))
+        assert full.solver["row_rounds"] == 1
+        assert lazy.solver["rows_in_lp"] < full.solver["rows_in_lp"]
+        assert lazy.lp_value == pytest.approx(full.lp_value, rel=1e-9, abs=1e-9)
+        assert lazy.clusters == full.clusters
+        assert lazy.cost == full.cost
+
+    def test_karate_cc_adds_rows_over_rounds(self):
+        cfg = RunConfig(generator="karate", weights="table1", method="CC")
+        a, b = run(cfg), run(cfg)
+        assert a.to_json(with_timings=False) == b.to_json(with_timings=False)
+        assert a.solver["row_rounds"] >= 2
+        assert 0 < a.solver["rows_in_lp"] < 17952
+        assert a.lp_value == pytest.approx(249.25, abs=1e-7)
+
+    def test_lp1_needs_one_round(self):
+        report = run(RunConfig.from_dict({**FIG2A, "relaxation": "LP1"}))
+        assert report.solver["row_rounds"] == 1
+        assert report.solver["rows_in_lp"] == count_upsilon(6, 3)
+
+    def test_round_failure_names_the_round(self, monkeypatch):
+        real_solve = pipeline.solve
+        calls = []
+
+        def fails_second(problem, config, start_values=None):
+            calls.append(problem.num_rows)
+            result = real_solve(problem, config, start_values=start_values)
+            if len(calls) == 2:
+                result.status = "iteration-limit"
+            return result
+
+        monkeypatch.setattr(pipeline, "solve", fails_second)
+        with pytest.raises(SolverFailureError, match="iteration-limit in round 2"):
+            run(RunConfig(generator="fig2b", generator_args={"n": 10}, method="CC"))
 
 
 class TestCompare:

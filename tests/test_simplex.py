@@ -250,6 +250,21 @@ class TestVerifySolution:
         report = verify_solution(lp, sol, tol=1e-6)
         assert any(viol.kind == "bound" for viol in report.violations)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_flags_non_finite_values(self, bad):
+        lp = build_lp2(fig2_weights(make_fig2a().graph).layers[0].weights, 6)
+        values = np.full(lp.num_vars, bad)
+        report = verify_solution(lp, FractionalSolution(lp.var_ids, values, 0.0, "candidate"))
+        assert not report.ok
+        bounds = [v for v in report.violations if v.kind == "bound"]
+        assert len(bounds) == lp.num_vars and all(v.amount == np.inf for v in bounds)
+        assert {v.index for v in report.violations if v.kind == "row"} == set(range(lp.num_rows))
+        # one NaN among feasible values, given as a name map
+        point = {vid.name: 0.0 for vid in lp.var_ids}
+        point["z_1_2"] = bad
+        names = {v.name for v in verify_solution(lp, point).violations}
+        assert "z_1_2" in names and "tri_1_2_3_a3" in names
+
     def test_accepts_name_map(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
