@@ -24,11 +24,12 @@ import sys
 
 from .errors import (
     CertificateViolationError,
+    InvalidParameterError,
     MotifccError,
     SolverFailureError,
 )
 from .exact import exact_min_disagree, maxagree_2approx
-from .generators import GENERATORS
+from .generators import GENERATORS, make_fixture
 from .graph import Partition
 from .lpmodel import LpProblem, FractionalSolution
 from .pipeline import (
@@ -200,12 +201,17 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
+    if args.num_seeds < 1:
+        raise InvalidParameterError(f"--num-seeds must be at least 1, got {args.num_seeds}")
     graph, mixed = _make_instance_and_weights(args)
     first_edge = None
     if args.first_edge:
         u, _, v = args.first_edge.partition(",")
-        first_edge = (int(u), int(v))
-    if args.num_seeds <= 1:
+        try:
+            first_edge = (int(u), int(v))
+        except ValueError:
+            raise InvalidParameterError(f"--first-edge expects U,V, got {args.first_edge!r}") from None
+    if args.num_seeds == 1:
         report = baseline_report(args.kind, graph, mixed, args.seed, first_edge)
         _emit(report.to_json_dict(), args.out)
         return EXIT_OK
@@ -230,7 +236,7 @@ def _cmd_baseline(args) -> int:
 def _cmd_generate(args) -> int:
     import pathlib
 
-    fx = GENERATORS[args.name](**dict(args.generator_arg))
+    fx = make_fixture(args.name, dict(args.generator_arg))
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     edges = out_dir / f"{args.name}_edges.txt"

@@ -232,6 +232,17 @@ GENERATORS = {
 }
 
 
+def make_fixture(name: str, args: dict) -> Fixture:
+    """``GENERATORS[name](**args)``; an unknown name or an argument value
+    the generator cannot use raises InvalidParameterError."""
+    if name not in GENERATORS:
+        raise InvalidParameterError(f"unknown generator {name!r}; have {sorted(GENERATORS)}")
+    try:
+        return GENERATORS[name](**args)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"generator {name} arguments {args}: {exc}") from exc
+
+
 # ------------------------------------------------------- companion weights
 
 

@@ -341,6 +341,9 @@ class FractionalSolution:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FractionalSolution":
+        missing = [key for key in ("values", "objective_value", "status") if key not in d]
+        if missing:
+            raise InvalidParameterError(f"solution JSON lacks {', '.join(missing)}")
         names = list(d["values"])
         return cls(
             [VarId.from_name(nm) for nm in names],

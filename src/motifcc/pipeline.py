@@ -1,12 +1,15 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
 LP2 and LP3 are built without their 3·C(n,3) triangle rows.  The solve
-stage solves that core LP, adds the triangle rows the optimum violates
-(``separate_triangles`` at the solver tolerance) and solves again, each
-round from the same greedy warm start, until no omitted row is violated;
-that optimum is then optimal for the full LP.  The check stage verifies
-the point against the rows it was solved with and separates once more at
-the certificate tolerance, so every row of the full LP is checked.
+stage solves that core LP from the greedy warm start, adds the triangle
+rows the optimum violates (``separate_triangles`` at the solver
+tolerance) and solves again, until no omitted row is violated; that
+optimum is then optimal for the full LP.  Every round after the first
+re-enters the in-repo simplex from the previous round's optimal basis,
+with the added rows' slacks basic, and the dual simplex phase restores
+primal feasibility.  The check stage verifies the point against the rows
+it was solved with and separates once more at the certificate tolerance,
+so every row of the full LP is checked.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
@@ -52,10 +55,10 @@ from .lpmodel import (
 )
 from .motifs import MixedWeights, build_table1_weights, weights_from_config
 from .generators import (
-    GENERATORS,
     anomaly_weights,
     fig2_weights,
     layered_flow_weights,
+    make_fixture,
 )
 from .rounding import (
     Recommendation,
@@ -172,11 +175,7 @@ def load_instance(config: RunConfig) -> tuple[DirectedGraph, dict]:
         return graph, {"input": config.input}
     if config.num_vertices is not None:
         raise InvalidParameterError("num_vertices applies to an input edge list, not a generator")
-    if config.generator not in GENERATORS:
-        raise InvalidParameterError(
-            f"unknown generator {config.generator!r}; have {sorted(GENERATORS)}"
-        )
-    fx = GENERATORS[config.generator](**config.generator_args)
+    fx = make_fixture(config.generator, config.generator_args)
     return fx.graph, fx.manifest
 
 
@@ -199,10 +198,10 @@ def resolve_weights(config: RunConfig, graph: DirectedGraph) -> MixedWeights:
         if name == "fig2":
             return fig2_weights(graph)
         if name == "anomaly":
-            return anomaly_weights(graph, float(arg)) if arg else anomaly_weights(graph)
+            return anomaly_weights(graph, _weight_arg(spec, arg)) if arg else anomaly_weights(graph)
         if name == "layered-flow":
             return (
-                layered_flow_weights(graph, float(arg), seed=config.seed)
+                layered_flow_weights(graph, _weight_arg(spec, arg), seed=config.seed)
                 if arg
                 else layered_flow_weights(graph, seed=config.seed)
             )
@@ -210,6 +209,13 @@ def resolve_weights(config: RunConfig, graph: DirectedGraph) -> MixedWeights:
             return weights_from_config(spec, graph)
         raise InvalidParameterError(f"unrecognized weights spec {spec!r}")
     raise InvalidParameterError(f"unrecognized weights spec {spec!r}")
+
+
+def _weight_arg(spec: str, arg: str) -> float:
+    try:
+        return float(arg)
+    except ValueError:
+        raise InvalidParameterError(f"weights spec {spec!r}: {arg!r} is not a number") from None
 
 
 def pick_relaxation(config: RunConfig, mixed: MixedWeights) -> str:
@@ -250,21 +256,34 @@ def solve_relaxation(
     last LP solved (core plus the active rows, in ``build_lp3`` order) and
     every round's result; the last one is optimal for the full LP.
 
-    Every round starts from ``start``: an integral partition satisfies all
-    triangle rows, so no round needs phase 1.
+    Round 1 starts from ``start``: an integral partition satisfies all
+    triangle rows, so it needs no phase 1.  Each later round starts from
+    the previous optimal basis mapped onto the enlarged LP: kept rows keep
+    their slack status and each added row enters with its slack basic.  The
+    reduced costs do not change, so that basis is dual feasible and the
+    dual simplex phase re-optimizes it.  A failed round, re-entry included,
+    raises SolverFailureError naming the round.
     """
     problem = core
     active = np.empty((0, 4), dtype=np.int64)
     rounds: list[SolverResult] = []
+    basis = None
     while True:
-        result = solve(problem, config, start_values=start)
+        try:
+            result = solve(problem, config, start_values=start if basis is None else None, basis=basis)
+        except SolverFailureError as exc:
+            raise SolverFailureError(f"{exc} in round {len(rounds) + 1}") from exc
         rounds.append(result)
         if result.status != "optimal":
             raise SolverFailureError(f"solver returned status {result.status} in round {len(rounds)}")
         violated = separate_triangles(problem, result.solution.values, config.tol)
-        merged = np.unique(np.concatenate([active, violated]), axis=0)
+        merged, where = np.unique(np.concatenate([active, violated]), axis=0, return_inverse=True)
         if len(merged) == len(active):
             return problem, rounds
+        if result.basis is not None:
+            m_core = core.num_rows
+            kept = m_core + where.ravel()[: len(active)]
+            basis = result.basis.with_rows(np.concatenate([np.arange(m_core), kept]), m_core + len(merged))
         active = merged
         problem = add_triangle_rows(core, active)
 
@@ -286,6 +305,10 @@ def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: in
         return rec
     alpha = rec.params.alpha if config.alpha is None else float(config.alpha)
     beta = rec.params.beta if config.beta is None else float(config.beta)
+    # the ratio divides by both, so check them before computing it
+    for name, value in (("alpha", config.alpha), ("beta", config.beta)):
+        if value is not None and not float(value) > 0:
+            raise InvalidParameterError(f"{name} must be positive, got {value}")
     if rec.algorithm == "alg1":
         ratio = 2.0 / alpha
         params = RoundingParams(alpha)
@@ -424,6 +447,7 @@ def run(config: RunConfig) -> Report:
             "pivots": sum(r.pivots for r in rounds),
             "bound_flips": sum(r.bound_flips for r in rounds),
             "row_rounds": len(rounds),
+            "round_iterations": [r.iterations for r in rounds],
             "rows_in_lp": problem.num_rows,
             "warm_start": start is not None,
         },

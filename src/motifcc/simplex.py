@@ -28,6 +28,15 @@ Design notes:
 * Infeasible starts (only possible for hand-written dumps or warm starts
   gone wrong — the clustering LPs have b = 0 and start feasible at the
   origin) go through a phase-1 with artificial columns.
+* A solve can instead start from a given basis (``SimplexBasis``, as
+  returned on an optimal ``SolverResult``).  It runs dual simplex
+  iterations until the point is primal feasible (leaving row of largest
+  infeasibility, Harris two-pass ratio test on the pivot row), then the
+  primal phase cleans up.  This re-optimizes an optimal basis after rows
+  were added with their slacks basic: the reduced costs do not change, so
+  the basis stays dual feasible.  Nonbasic columns whose reduced costs have
+  the wrong sign get their cost shifted for the dual phase only (Koberstein,
+  *The Dual Simplex Method*, 2005).
 
 Everything is deterministic: ties break on the lowest index, and the
 refactorization schedule is fixed by the pivot count and the eta-file size.
@@ -66,14 +75,36 @@ class SolverConfig:
 
 
 @dataclass
+class SimplexBasis:
+    """A basis of an LP with n columns and m rows: column j < n is
+    structural, column n + i is the slack of row i."""
+
+    basic: np.ndarray  # m column indices, one per basis position
+    vstat: np.ndarray  # n + m statuses: AT_LOWER, AT_UPPER or BASIC
+
+    def with_rows(self, row_map: np.ndarray, num_rows: int) -> "SimplexBasis":
+        """This basis on an LP with ``num_rows`` rows whose row
+        ``row_map[i]`` is row i here; rows outside ``row_map`` enter with
+        their slack basic."""
+        n = len(self.vstat) - len(self.basic)
+        col_map = np.concatenate([np.arange(n), n + np.asarray(row_map, dtype=np.int64)])
+        vstat = np.full(n + num_rows, BASIC, dtype=np.int8)
+        vstat[col_map] = self.vstat
+        added = np.setdiff1d(np.arange(num_rows), row_map)
+        return SimplexBasis(np.concatenate([col_map[self.basic], n + added]), vstat)
+
+
+@dataclass
 class SolverResult:
     status: str  # optimal | infeasible | unbounded | iteration-limit
     solution: FractionalSolution | None
-    iterations: int
+    iterations: int  # all phases, dual iterations included
     wall_time: float
     pivots: int = 0
     bound_flips: int = 0
     phase1_iterations: int = 0
+    dual_iterations: int = 0
+    basis: SimplexBasis | None = None  # final basis of an optimal in-repo solve
 
 
 @dataclass
@@ -255,7 +286,8 @@ class _EtaFile:
 class _Workspace:
     """Mutable state of one solve."""
 
-    def __init__(self, problem: LpProblem, config: SolverConfig, start_values: np.ndarray | None):
+    def __init__(self, problem: LpProblem, config: SolverConfig, start_values: np.ndarray | None,
+                 basis: SimplexBasis | None = None):
         self.cfg = config
         m, n = problem.num_rows, problem.num_vars
         self.m, self.n = m, n
@@ -282,9 +314,21 @@ class _Workspace:
             self.vstat[:n] = np.where(start_values > mid, AT_UPPER, AT_LOWER)
         self.basic = np.arange(n, self.N, dtype=np.int64)
         self.vstat[self.basic] = BASIC
+        if basis is not None:
+            self.basic = np.asarray(basis.basic, dtype=np.int64).copy()
+            self.vstat = np.asarray(basis.vstat, dtype=np.int8).copy()
+            fits = (
+                self.basic.shape == (m,)
+                and self.vstat.shape == (self.N,)
+                and np.count_nonzero(self.vstat == BASIC) == m
+                and bool((self.vstat[self.basic] == BASIC).all())
+            )
+            if not fits or not np.isfinite(self.nonbasic_values()).all():
+                raise InvalidParameterError("starting basis does not fit the problem")
         self.basis: _Basis | None = None
         self.xB = np.zeros(m)
         self.iterations = 0
+        self.dual_iterations = 0
         self.pivots_since_refactor = 0
         self.total_pivots = 0
         self.total_flips = 0
@@ -338,6 +382,30 @@ class _Workspace:
         x = self.nonbasic_values()
         x[self.basic] = self.xB
         return x
+
+    def export_basis(self) -> SimplexBasis:
+        basic = self.basic.copy()
+        # a basic artificial (fixed at 0 after phase 1) stands in for its
+        # row's slack, which is then nonbasic
+        art = basic >= self.n + self.m
+        basic[art] = self.n + self.unit_row[basic[art]]
+        vstat = self.vstat[: self.n + self.m].copy()
+        vstat[basic] = BASIC
+        return SimplexBasis(basic, vstat)
+
+    def absorb_pivot(self, r: int, j: int, w: np.ndarray, abs_w: np.ndarray, t: float) -> None:
+        """Record column j entering at basis position r (w = B^-1 a_j) in
+        the eta file, and refactor on schedule."""
+        self.basic[r] = j
+        self.vstat[j] = BASIC
+        # |w[r]| >= 1e-11, so the pivot position is among the stored entries
+        nz = np.nonzero(abs_w > 1e-12)[0]
+        self.etas.append(nz, w[nz], r, w[r])
+        self.total_pivots += 1
+        self.pivots_since_refactor += 1
+        self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
+        if self.pivots_since_refactor >= REFACTOR_EVERY or self.etas.top >= self.eta_budget:
+            self.refactor()
 
     # ---------------------------------------------------------- iterations
 
@@ -437,16 +505,51 @@ class _Workspace:
             self.vstat[leaving] = AT_UPPER
         elif not np.isfinite(self.ub[leaving]):
             self.vstat[leaving] = AT_LOWER
-        self.basic[r] = j
-        self.vstat[j] = BASIC
-        # |w[r]| >= 1e-11, so the pivot position is among the stored entries
-        nz = np.nonzero(abs_w > 1e-12)[0]
-        self.etas.append(nz, w[nz], r, w[r])
-        self.total_pivots += 1
-        self.pivots_since_refactor += 1
-        self.degenerate_run = self.degenerate_run + 1 if t <= 1e-12 else 0
-        if self.pivots_since_refactor >= REFACTOR_EVERY or self.etas.top >= self.eta_budget:
-            self.refactor()
+        self.absorb_pivot(r, j, w, abs_w, t)
+        return "step"
+
+    def dual_step(self, cost: np.ndarray) -> str:
+        """One dual simplex iteration; returns 'feasible', 'infeasible' or 'step'."""
+        if self.d is None:
+            self.d = self.reduced_costs(cost)
+        below = self.lb[self.basic] - self.xB
+        above = self.xB - self.ub[self.basic]
+        r = int(np.argmax(np.maximum(below, above)))
+        if max(below[r], above[r]) <= self.cfg.tol:
+            return "feasible"
+        # the leaving variable moves up to its lower bound or down to its upper
+        to_lower = below[r] > above[r]
+        alpha = self.pivot_row(r)
+        sa = alpha if to_lower else -alpha
+        free = self.free
+        at_lower = (self.vstat == AT_LOWER) & free
+        at_upper = (self.vstat == AT_UPPER) & free
+        cand = np.nonzero((at_lower & (sa < -1e-9)) | (at_upper & (sa > 1e-9)))[0]
+        if not len(cand):
+            return "infeasible"  # row r is a Farkas certificate
+        # Harris pass 1 bounds the dual step with every reduced cost relaxed
+        # by tol; pass 2 takes the largest pivot among the ratios within it
+        slack = np.maximum(np.where(at_lower[cand], self.d[cand], -self.d[cand]), 0.0)
+        abs_a = np.abs(sa[cand])
+        t_max = ((slack + self.cfg.tol) / abs_a).min()
+        within = np.nonzero(slack / abs_a <= t_max)[0]
+        q = int(cand[within[np.argmax(abs_a[within])]])
+        w = self.ftran(self.column(q))
+        abs_w = np.abs(w)
+        if abs_w[r] < 1e-11:
+            if self.pivots_since_refactor:
+                self.refactor()
+                return self.dual_step(cost)
+            raise SolverFailureError("numerically singular pivot column")
+        leaving = int(self.basic[r])
+        theta = (self.xB[r] - (self.lb[leaving] if to_lower else self.ub[leaving])) / w[r]
+        enter_val = (self.lb[q] if self.vstat[q] == AT_LOWER else self.ub[q]) + theta
+        self.d -= (self.d[q] / w[r]) * alpha
+        self.d[q] = 0.0
+        self.xB -= theta * w
+        self.xB[r] = enter_val
+        self.vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
+        self.absorb_pivot(r, q, w, abs_w, abs(theta))
         return "step"
 
     def run_phase(self, cost: np.ndarray) -> str:
@@ -495,6 +598,7 @@ def solve(
     config: SolverConfig | None = None,
     *,
     start_values: np.ndarray | None = None,
+    basis: SimplexBasis | None = None,
 ) -> SolverResult:
     """Minimize the problem to optimality.
 
@@ -502,48 +606,82 @@ def solve(
     statuses — useful when a near-optimal vertex is known (each value snaps
     to its nearer bound; the slack basis stays feasible for any snap when
     b = 0 problems start at a partition's induced point).
+
+    ``basis`` starts from that basis instead (``start_values`` must then
+    be None): dual iterations until the point is primal feasible, then the
+    primal phase.  The scipy engine ignores both.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     if config.engine == "scipy":
         return _solve_scipy(problem, config, t0)
-    ws = _Workspace(problem, config, start_values)
+    if basis is not None and start_values is not None:
+        raise InvalidParameterError("give a starting basis or start values, not both")
+    ws = _Workspace(problem, config, start_values, basis)
     ws.refactor()
-    feas = config.tol
-
-    lower_viol = ws.xB < ws.lb[ws.basic] - feas
-    upper_viol = ws.xB > ws.ub[ws.basic] + feas
     phase1_iters = 0
-    if lower_viol.any() or upper_viol.any():
-        status = _phase1(ws, lower_viol | upper_viol)
-        phase1_iters = ws.iterations
-        if status != "optimal":
-            if status == "unbounded":
-                raise SolverFailureError("phase 1 unbounded: inconsistent standard form")
-            return SolverResult(status, None, ws.iterations, time.perf_counter() - t0,
-                                ws.total_pivots, ws.total_flips, phase1_iters)
-        art_cost = np.zeros(ws.N)
-        art_cost[ws.n + ws.m :] = 1.0
-        if float(art_cost[ws.basic] @ ws.xB) > 1e-6:
-            return SolverResult("infeasible", None, ws.iterations, time.perf_counter() - t0,
-                                ws.total_pivots, ws.total_flips, phase1_iters)
-        # freeze artificials at zero for phase 2
-        ws.lb[ws.n + ws.m :] = 0.0
-        ws.ub[ws.n + ws.m :] = 0.0
-        ws.bounds_changed()
-        ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
-        ws.devex[:] = 1.0  # fresh reference framework for phase 2
+
+    def result(status: str, sol: FractionalSolution | None = None) -> SolverResult:
+        return SolverResult(status, sol, ws.iterations, time.perf_counter() - t0, ws.total_pivots,
+                            ws.total_flips, phase1_iters, ws.dual_iterations,
+                            ws.export_basis() if sol is not None else None)
+
+    if basis is not None:
+        status = _dual_phase(ws)
+        if status != "feasible":
+            return result(status)
+    else:
+        feas = config.tol
+        violated = (ws.xB < ws.lb[ws.basic] - feas) | (ws.xB > ws.ub[ws.basic] + feas)
+        if violated.any():
+            status = _phase1(ws, violated)
+            phase1_iters = ws.iterations
+            if status != "optimal":
+                if status == "unbounded":
+                    raise SolverFailureError("phase 1 unbounded: inconsistent standard form")
+                return result(status)
+            art_cost = np.zeros(ws.N)
+            art_cost[ws.n + ws.m :] = 1.0
+            if float(art_cost[ws.basic] @ ws.xB) > 1e-6:
+                return result("infeasible")
+            # freeze artificials at zero for phase 2
+            ws.lb[ws.n + ws.m :] = 0.0
+            ws.ub[ws.n + ws.m :] = 0.0
+            ws.bounds_changed()
+            ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
+            ws.devex[:] = 1.0  # fresh reference framework for phase 2
 
     status = ws.run_phase(ws.c)
-    wall = time.perf_counter() - t0
     if status != "optimal":
-        return SolverResult(status, None, ws.iterations, wall, ws.total_pivots,
-                            ws.total_flips, phase1_iters)
+        return result(status)
     x = ws.full_values()[: problem.num_vars]
     obj = float(problem.obj @ x) + problem.offset
-    sol = FractionalSolution(problem.var_ids, x, obj, "optimal")
-    return SolverResult("optimal", sol, ws.iterations, wall, ws.total_pivots,
-                        ws.total_flips, phase1_iters)
+    return result("optimal", FractionalSolution(problem.var_ids, x, obj, "optimal"))
+
+
+def _dual_phase(ws: _Workspace) -> str:
+    """Dual simplex iterations from the current basis until the point is
+    primal feasible; returns 'feasible', 'infeasible' or 'iteration-limit'.
+
+    Reduced costs of the wrong sign beyond tol are zeroed by shifting
+    their costs; the primal phase that follows uses the true costs.
+    """
+    d = ws.reduced_costs(ws.c)
+    wrong = ws.free & (((ws.vstat == AT_LOWER) & (d < -ws.cfg.tol))
+                       | ((ws.vstat == AT_UPPER) & (d > ws.cfg.tol)))
+    cost = ws.c.copy()
+    cost[wrong] -= d[wrong]
+    # only nonbasic costs moved, so the duals and the other reduced costs stay
+    d[wrong] = 0.0
+    ws.d = d
+    while True:
+        if ws.iterations >= ws.cfg.max_iterations:
+            return "iteration-limit"
+        outcome = ws.dual_step(cost)
+        if outcome != "step":
+            return outcome
+        ws.iterations += 1
+        ws.dual_iterations += 1
 
 
 def _phase1(ws: _Workspace, violated: np.ndarray) -> str:

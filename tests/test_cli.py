@@ -62,8 +62,8 @@ class TestSolve:
     def test_infeasible_lp_point_exits_3(self, monkeypatch, capsys):
         real_solve = pipeline.solve
 
-        def perturbed(problem, config, start_values=None):
-            result = real_solve(problem, config, start_values=start_values)
+        def perturbed(problem, config, start_values=None, basis=None):
+            result = real_solve(problem, config, start_values=start_values, basis=basis)
             result.solution.values[0] = problem.ub[0] + 1e-4  # just past its bound
             return result
 
@@ -77,8 +77,8 @@ class TestSolve:
         # stop on a point that violates a triangle row they never added
         real_solve = pipeline.solve
 
-        def perturbed(problem, config, start_values=None):
-            result = real_solve(problem, config, start_values=start_values)
+        def perturbed(problem, config, start_values=None, basis=None):
+            result = real_solve(problem, config, start_values=start_values, basis=basis)
             result.solution.values[problem.index_of(VarId.pair_var(2, 3))] += 5e-4
             return result
 
@@ -205,6 +205,42 @@ class TestRoundCommand:
             ]
         )
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("missing", ["objective_value", "status"])
+    def test_solution_without_required_key_exits_2(self, missing, tmp_path, capsys):
+        payload = {"status": "optimal", "objective_value": 1.0, "values": {"z_1_2": 0.5}}
+        del payload[missing]
+        sol = tmp_path / "solution.json"
+        sol.write_text(json.dumps(payload))
+        code = main(["round", "--solution", str(sol), "--n", "3", "--k", "2"])
+        assert code == EXIT_CONFIG
+        assert missing in capsys.readouterr().err
+
+
+FIG2A_CC = ["--generator", "fig2a", "--method", "CC"]
+BAD_VALUES = {
+    "alpha-0": (["solve", *FIG2A_CC, "--alpha", "0"], "alpha"),
+    "beta-0": (["solve", *FIG2A_CC, "--beta", "0"], "beta"),
+    "anomaly-weight": (["solve", "--generator", "fig2a", "--weights", "anomaly:abc"], "'abc'"),
+    "layered-flow-weight": (["exact", "--generator", "fig2a", "--weights", "layered-flow:x"], "'x'"),
+    "generator-arg": (
+        ["solve", "--generator", "fig2b", "--generator-arg", "n=abc", "--weights", "fig2"], "'abc'"
+    ),
+    "generate-arg": (["generate", "--name", "fig2b", "--generator-arg", "n=abc"], "'abc'"),
+    "zero-seeds": (["baseline", *FIG2A_CC, "--kind", "vertex", "--num-seeds", "0"], "got 0"),
+    "negative-seeds": (["baseline", *FIG2A_CC, "--kind", "vertex", "--num-seeds", "-2"], "got -2"),
+    "first-edge": (["baseline", *FIG2A_CC, "--kind", "edge", "--first-edge", "a,b"], "'a,b'"),
+}
+
+
+class TestBadValuesExit2:
+    @pytest.mark.parametrize("case", sorted(BAD_VALUES))
+    def test_exits_2_naming_the_value(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # generate writes into the working directory
+        argv, named = BAD_VALUES[case]
+        assert main(argv) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
 
 
 class TestExactCommand:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from motifcc import pipeline
+from motifcc import pipeline, simplex
 from motifcc.errors import InvalidParameterError, SolverFailureError, StageError
 from motifcc.generators import make_fig2a
 from motifcc.graph import Partition, write_edge_list
@@ -311,6 +311,25 @@ class TestTriangleRounds:
         assert 0 < a.solver["rows_in_lp"] < 17952
         assert a.lp_value == pytest.approx(249.25, abs=1e-7)
 
+    def test_karate_cc_reenters_from_the_previous_basis(self):
+        report = run(RunConfig(generator="karate", weights="table1", method="CC"))
+        per_round = report.solver["round_iterations"]
+        assert len(per_round) == report.solver["row_rounds"] >= 2
+        assert sum(per_round) == report.solver["iterations"] <= 1000
+        assert report.lp_value == pytest.approx(249.25, abs=1e-7)
+
+    @pytest.mark.parametrize("failure", ["status", "exception"])
+    def test_failed_reentry_names_the_round(self, failure, monkeypatch):
+        def dual_step(ws, cost):
+            if failure == "status":
+                return "infeasible"
+            raise SolverFailureError("numerically singular pivot column")
+
+        monkeypatch.setattr(simplex._Workspace, "dual_step", dual_step)
+        message = "status infeasible in round 2" if failure == "status" else "column in round 2"
+        with pytest.raises(SolverFailureError, match=message):
+            run(RunConfig(generator="fig2b", generator_args={"n": 10}, method="CC"))
+
     def test_lp1_needs_one_round(self):
         report = run(RunConfig.from_dict({**FIG2A, "relaxation": "LP1"}))
         assert report.solver["row_rounds"] == 1
@@ -320,9 +339,9 @@ class TestTriangleRounds:
         real_solve = pipeline.solve
         calls = []
 
-        def fails_second(problem, config, start_values=None):
+        def fails_second(problem, config, start_values=None, basis=None):
             calls.append(problem.num_rows)
-            result = real_solve(problem, config, start_values=start_values)
+            result = real_solve(problem, config, start_values=start_values, basis=basis)
             if len(calls) == 2:
                 result.status = "iteration-limit"
             return result
