@@ -35,6 +35,7 @@ from .lpmodel import LpProblem, FractionalSolution
 from .pipeline import (
     RunConfig,
     baseline_report,
+    check_seed,
     compare,
     load_instance,
     resolve_weights,
@@ -156,6 +157,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_round(args) -> int:
+    check_seed(args.seed)
     with open(args.solution, encoding="utf-8") as fh:
         sol = FractionalSolution.from_json_dict(json.load(fh))
     if args.alpha is None:

@@ -9,6 +9,7 @@ records the +1 shift.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -224,19 +225,27 @@ def karate_factions() -> Partition:
 
 
 GENERATORS = {
-    "fig2a": lambda **kw: make_fig2a(),
-    "fig2b": lambda n=10, **kw: make_fig2b(int(n)),
-    "anomaly": lambda seed=1, **kw: make_anomaly(int(seed)),
-    "layered-flow": lambda **kw: make_layered_flow(),
-    "karate": lambda **kw: karate(),
+    "fig2a": make_fig2a,
+    "fig2b": lambda n=10: make_fig2b(int(n)),
+    "anomaly": lambda seed=1: make_anomaly(int(seed)),
+    "layered-flow": make_layered_flow,
+    "karate": karate,
 }
 
 
 def make_fixture(name: str, args: dict) -> Fixture:
-    """``GENERATORS[name](**args)``; an unknown name or an argument value
-    the generator cannot use raises InvalidParameterError."""
+    """``GENERATORS[name](**args)``; an unknown name, an argument the
+    generator does not take or a value it cannot use raises
+    InvalidParameterError."""
     if name not in GENERATORS:
         raise InvalidParameterError(f"unknown generator {name!r}; have {sorted(GENERATORS)}")
+    takes = inspect.signature(GENERATORS[name]).parameters
+    unknown = sorted(set(args) - set(takes))
+    if unknown:
+        raise InvalidParameterError(
+            f"generator {name} takes no argument {', '.join(map(repr, unknown))} "
+            f"(it takes {sorted(takes) or 'none'})"
+        )
     try:
         return GENERATORS[name](**args)
     except (TypeError, ValueError) as exc:

@@ -16,7 +16,9 @@ plus ``add_triangle_rows`` over ``all_triangles(n)``.  The pipeline solves
 the core instead and adds only the triangle rows that
 ``separate_triangles`` finds violated at the current LP point, since few of
 the 3·C(n,3) rows ever bind; the full build stays for dumps, ``verify``
-and the tests.
+and the tests.  ``drop_zero_cost_tuples`` also takes out of the solved LP
+the tuple columns whose objective coefficient is 0 (w+ = 0.5), whose own
+rows the triangle rows imply, and lifts them back from z afterwards.
 
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
@@ -570,6 +572,81 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
     pqr = np.concatenate(found) + 1
     tri = np.column_stack([np.sort(pqr, axis=1), pqr[:, 0]])
     return tri[np.lexsort(tri.T[::-1])]
+
+
+class TupleLift:
+    """Maps a point of the LP that ``drop_zero_cost_tuples`` returned back
+    onto the LP it was given: every left-out x_K becomes max over the pairs
+    uv of K of z_uv, every other value is kept."""
+
+    def __init__(self, var_ids: list[VarId], kept: np.ndarray, dropped: np.ndarray, zc: np.ndarray | None):
+        self.var_ids = var_ids
+        self.kept = kept  # full-LP columns of the reduced LP, in its order
+        self.dropped = dropped  # full-LP columns left out
+        self._groups = []  # (tuple columns, their pair columns) per tuple size
+        keys = [var_ids[j].key for j in dropped.tolist()]
+        for k in sorted({len(key) for key in keys}):
+            cols = np.array([j for j, key in zip(dropped.tolist(), keys) if len(key) == k], dtype=np.int64)
+            tup = np.array([key for key in keys if len(key) == k], dtype=np.int64).reshape(-1, k)
+            i, j = np.array(list(combinations(range(k), 2))).T
+            self._groups.append((cols, zc[tup[:, i], tup[:, j]]))
+
+    def __call__(self, solution: FractionalSolution) -> FractionalSolution:
+        values = np.zeros(len(self.var_ids))
+        values[self.kept] = solution.values
+        for cols, pair_cols in self._groups:
+            values[cols] = values[pair_cols].max(axis=1)
+        return FractionalSolution(self.var_ids, values, solution.objective_value, solution.status)
+
+
+def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
+    """``core`` (from ``build_lp3_core`` or ``build_lp3``) without its
+    tuple columns of objective coefficient exactly 0.0 and without the rows
+    that touch them, plus the ``TupleLift`` back onto ``core``.
+
+    In these builders the rows of x_K are K's own: z_uv <= x_K for each of
+    its C(k,2) pairs and (k-1)·x_K <= Σ_{uv ⊂ K} z_uv, with 0 <= x_K <= 1.
+    A column of cost 0 only asks that some x_K fit in
+    [max z_uv, Σ z_uv/(k-1)], and max z_uv = z_ab <= 1 fits exactly when
+    (k-1)·z_ab <= Σ z_uv.  The triangle rows on K's vertices imply that:
+    z_ab <= z_aw + z_bw for each of the k-2 other vertices w of K, summed
+    and added to z_ab, gives (k-1)·z_ab <= z_ab + Σ_w (z_aw + z_bw), which
+    is at most Σ z_uv because the pairs among the w are >= 0 (k = 3 is the
+    triangle row itself; k >= 4 adds those pairs).  So the LP returned here
+    plus every triangle row is the projection of ``core`` plus every
+    triangle row onto the kept columns, both LPs have the same optimum, and
+    x_K = max z_uv lifts an optimal point of the first to one of the
+    second; a point within tol of the triangle rows lifts to one within
+    (k-2)·tol of the (k-1)·x_K row.
+
+    Nothing is dropped (``core`` itself and an identity lift come back)
+    when no tuple column costs 0, or when the LP has no pair columns: LP1's
+    rows tie tuple columns to each other, so the argument does not hold.
+    """
+    zc = _pair_column_matrix(core)
+    drop = np.array([vid.kind == "tuple" for vid in core.var_ids], dtype=bool) & (core.obj == 0.0)
+    if zc is None:
+        drop[:] = False
+    kept, dropped = np.nonzero(~drop)[0], np.nonzero(drop)[0]
+    lift = TupleLift(core.var_ids, kept, dropped, zc)
+    if not len(dropped):
+        return core, lift
+    A = core.A
+    rows = np.nonzero(A[:, dropped].getnnz(axis=1) == 0)[0]
+    reduced = LpProblem(
+        core.name,
+        [core.var_ids[j] for j in kept.tolist()],
+        core.obj[kept],
+        core.offset,
+        A[rows][:, kept],
+        core.senses[rows],
+        core.rhs[rows],
+        [core.row_names[i] for i in rows.tolist()],
+        census=core.census,
+        lb=core.lb[kept],
+        ub=core.ub[kept],
+    )
+    return reduced, lift
 
 
 def build_lp2(

@@ -7,9 +7,13 @@ tolerance) and solves again, until no omitted row is violated; that
 optimum is then optimal for the full LP.  Every round after the first
 re-enters the in-repo simplex from the previous round's optimal basis,
 with the added rows' slacks basic, and the dual simplex phase restores
-primal feasibility.  The check stage verifies the point against the rows
-it was solved with and separates once more at the certificate tolerance,
-so every row of the full LP is checked.
+primal feasibility.  The solve also leaves out the tuple columns of
+objective coefficient exactly 0 and their own rows
+(``drop_zero_cost_tuples``: the triangle rows imply them) and lifts those
+columns back from z at the end.  The check stage verifies the lifted point
+against the core LP, left-out tuple rows included, plus the active triangle
+rows, and separates once more at the certificate tolerance, so every row
+of the full LP is checked.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
@@ -44,10 +48,12 @@ from .graph import (
     rand_index,
 )
 from .lpmodel import (
+    FractionalSolution,
     LpProblem,
     add_triangle_rows,
     build_lp1,
     build_lp3_core,
+    drop_zero_cost_tuples,
     evaluate_objective,
     induced_point,
     per_class_breakdown,
@@ -97,6 +103,9 @@ class RunConfig:
     out: str | None = None
     trace: str | None = None
 
+    def __post_init__(self):
+        check_seed(self.seed)
+
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         known = {f for f in cls.__dataclass_fields__}
@@ -107,6 +116,12 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def check_seed(seed) -> None:
+    """Reject a seed numpy's generators refuse: only integers >= 0 seed them."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass
@@ -248,23 +263,39 @@ def build_relaxation(relaxation: str, mixed: MixedWeights, n: int) -> LpProblem:
     return build_lp3_core(mixed, n)
 
 
+@dataclass
+class RelaxationSolve:
+    """What ``solve_relaxation`` hands to the check stage."""
+
+    problem: LpProblem  # the core given plus the active triangle rows
+    solution: FractionalSolution  # optimal point, lifted onto ``problem``
+    solved: LpProblem  # the last LP the solver saw
+    rounds: list[SolverResult]
+
+
 def solve_relaxation(
     core: LpProblem, config: SolverConfig, start: np.ndarray | None
-) -> tuple[LpProblem, list[SolverResult]]:
-    """Solve ``core``, add the triangle rows its optimum violates beyond
-    ``config.tol`` and solve again, until a round adds no row.  Returns the
-    last LP solved (core plus the active rows, in ``build_lp3`` order) and
-    every round's result; the last one is optimal for the full LP.
+) -> RelaxationSolve:
+    """Solve ``core`` without its zero-cost tuple columns
+    (``drop_zero_cost_tuples``), add the triangle rows its optimum violates
+    beyond ``config.tol`` and solve again, until a round adds no row.  The
+    last optimum is optimal for the full LP; it is lifted back onto
+    ``core`` plus the active rows (in ``build_lp3`` order), which the check
+    stage verifies, left-out tuple rows included.
 
-    Round 1 starts from ``start``: an integral partition satisfies all
-    triangle rows, so it needs no phase 1.  Each later round starts from
-    the previous optimal basis mapped onto the enlarged LP: kept rows keep
-    their slack status and each added row enters with its slack basic.  The
-    reduced costs do not change, so that basis is dual feasible and the
-    dual simplex phase re-optimizes it.  A failed round, re-entry included,
-    raises SolverFailureError naming the round.
+    Round 1 starts from ``start`` (a point of ``core``, sliced to the kept
+    columns): an integral partition satisfies all triangle rows, so it
+    needs no phase 1.  Each later round starts from the previous optimal
+    basis mapped onto the enlarged LP: kept rows keep their slack status
+    and each added row enters with its slack basic.  The reduced costs do
+    not change, so that basis is dual feasible and the dual simplex phase
+    re-optimizes it.  A failed round, re-entry included, raises
+    SolverFailureError naming the round.
     """
-    problem = core
+    reduced, lift = drop_zero_cost_tuples(core)
+    if start is not None:
+        start = start[lift.kept]
+    problem = reduced
     active = np.empty((0, 4), dtype=np.int64)
     rounds: list[SolverResult] = []
     basis = None
@@ -279,13 +310,14 @@ def solve_relaxation(
         violated = separate_triangles(problem, result.solution.values, config.tol)
         merged, where = np.unique(np.concatenate([active, violated]), axis=0, return_inverse=True)
         if len(merged) == len(active):
-            return problem, rounds
+            full = problem if reduced is core else add_triangle_rows(core, active)
+            return RelaxationSolve(full, lift(result.solution), problem, rounds)
         if result.basis is not None:
-            m_core = core.num_rows
+            m_core = reduced.num_rows
             kept = m_core + where.ravel()[: len(active)]
             basis = result.basis.with_rows(np.concatenate([np.arange(m_core), kept]), m_core + len(merged))
         active = merged
-        problem = add_triangle_rows(core, active)
+        problem = add_triangle_rows(reduced, active)
 
 
 def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: int) -> Recommendation:
@@ -376,15 +408,15 @@ def run(config: RunConfig) -> Report:
         with stage("warm_start", timings):
             start = induced_point(greedy_partition(mixed, n), problem).values
     with stage("solve", timings):
-        problem, rounds = solve_relaxation(problem, solver_cfg, start)
-        result = rounds[-1]
+        relaxed = solve_relaxation(problem, solver_cfg, start)
+        problem, solution, rounds = relaxed.problem, relaxed.solution, relaxed.rounds
     with stage("check", timings):
         # round only a point that satisfies every row and bound, including
-        # the triangle rows the solve left out
-        check = verify_solution(problem, result.solution, tol=config.certificate_tol)
+        # the tuple and triangle rows the solve left out
+        check = verify_solution(problem, solution, tol=config.certificate_tol)
         if not check.ok:
-            raise SolverFailureError(f"LP point infeasible: {check.summary()}")
-        missed = separate_triangles(problem, result.solution.values, config.certificate_tol)
+            raise SolverFailureError(f"LP point infeasible: {check.summary()}, first {check.violations[0]}")
+        missed = separate_triangles(problem, solution.values, config.certificate_tol)
         if len(missed):
             a, b, c, apex = missed[0].tolist()
             raise SolverFailureError(
@@ -395,7 +427,7 @@ def run(config: RunConfig) -> Report:
         rec = choose_params(config, mixed, relaxation, n)
         if rec.algorithm == "alg1":
             partition, trace = round_alg1(
-                result.solution,
+                solution,
                 n,
                 mixed.k_star,
                 rec.params,
@@ -405,7 +437,7 @@ def run(config: RunConfig) -> Report:
             )
         else:
             partition, trace = round_alg2(
-                result.solution,
+                solution,
                 n,
                 mixed.k_star,
                 rec.params,
@@ -418,7 +450,7 @@ def run(config: RunConfig) -> Report:
             trace.write_jsonl(config.trace)
     with stage("certify", timings):
         cert = certify(
-            partition, result.solution.objective_value, mixed, rec.ratio, tol=config.certificate_tol
+            partition, solution.objective_value, mixed, rec.ratio, tol=config.certificate_tol
         )
     with stage("breakdown", timings):
         breakdown = per_class_breakdown(partition, mixed)
@@ -427,7 +459,7 @@ def run(config: RunConfig) -> Report:
         relaxation=relaxation,
         n=n,
         instance_digest=_instance_digest(graph),
-        lp_value=result.solution.objective_value,
+        lp_value=solution.objective_value,
         cost=cert.cost,
         certified_ratio=rec.ratio,
         empirical_ratio=cert.empirical_ratio,
@@ -442,13 +474,14 @@ def run(config: RunConfig) -> Report:
         breakdown=breakdown,
         solver={
             "engine": config.engine,
-            "status": result.status,
+            "status": rounds[-1].status,
             "iterations": sum(r.iterations for r in rounds),
             "pivots": sum(r.pivots for r in rounds),
             "bound_flips": sum(r.bound_flips for r in rounds),
             "row_rounds": len(rounds),
             "round_iterations": [r.iterations for r in rounds],
-            "rows_in_lp": problem.num_rows,
+            "rows_in_lp": relaxed.solved.num_rows,
+            "vars_in_lp": relaxed.solved.num_vars,
             "warm_start": start is not None,
         },
         timings={**timings, "solver_wall": sum(r.wall_time for r in rounds)},

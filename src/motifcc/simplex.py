@@ -44,6 +44,7 @@ refactorization schedule is fixed by the pivot count and the eta-file size.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -68,8 +69,10 @@ class SolverConfig:
     engine: str = "simplex"  # "simplex" | "scipy" (cross-validation seam)
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InvalidParameterError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InvalidParameterError(f"tolerance must be positive and finite, got {self.tol}")
+        if self.max_iterations < 1:
+            raise InvalidParameterError(f"max_iterations must be at least 1, got {self.max_iterations}")
         if self.engine not in ("simplex", "scipy"):
             raise InvalidParameterError(f"unknown engine {self.engine!r}")
 

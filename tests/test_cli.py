@@ -231,6 +231,15 @@ BAD_VALUES = {
     "zero-seeds": (["baseline", *FIG2A_CC, "--kind", "vertex", "--num-seeds", "0"], "got 0"),
     "negative-seeds": (["baseline", *FIG2A_CC, "--kind", "vertex", "--num-seeds", "-2"], "got -2"),
     "first-edge": (["baseline", *FIG2A_CC, "--kind", "edge", "--first-edge", "a,b"], "'a,b'"),
+    "tol-nan": (["solve", *FIG2A_CC, "--tol", "nan"], "got nan"),
+    "tol-inf": (["solve", *FIG2A_CC, "--tol", "inf"], "got inf"),
+    "zero-max-iterations": (["solve", *FIG2A_CC, "--max-iterations", "0"], "got 0"),
+    "solve-seed": (["solve", *FIG2A_CC, "--seed", "-1"], "got -1"),
+    "exact-seed": (["exact", *FIG2A_CC, "--seed", "-1"], "got -1"),
+    "baseline-seed": (["baseline", *FIG2A_CC, "--kind", "vertex", "--seed", "-1"], "got -1"),
+    "round-seed": (["round", "--solution", "x.json", "--n", "3", "--k", "2", "--seed", "-1"], "got -1"),
+    "unknown-generator-arg": (["solve", "--generator", "fig2b", "--generator-arg", "foo=1", "--weights", "fig2"], "'foo'"),
+    "unknown-generate-arg": (["generate", "--name", "fig2a", "--generator-arg", "n=4"], "'n'"),
 }
 
 

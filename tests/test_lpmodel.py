@@ -30,6 +30,7 @@ from motifcc.lpmodel import (
     add_triangle_rows,
     all_triangles,
     build_lp3_core,
+    drop_zero_cost_tuples,
     separate_triangles,
 )
 from motifcc.motifs import Layer, MixedWeights, MotifWeights, WeightRule, directed_cycle_rule
@@ -248,6 +249,71 @@ class TestTriangleRows:
     def test_no_pair_variables_no_rows(self, mcc_weights):
         lp = build_lp1(mcc_weights.layers[0].weights, 6)
         assert separate_triangles(lp, np.ones(lp.num_vars), 1e-7).shape == (0, 4)
+
+
+class TestZeroCostTuples:
+    def test_drops_the_zero_cost_tuples_and_only_their_rows(self):
+        # MMCC's triple layer puts OtherTriple at w+ = 0.5, so those columns cost 0
+        mixed = build_table1_weights("MMCC", random_graph(9, 1, directed=False))
+        core = build_lp3_core(mixed, 9)
+        reduced, lift = drop_zero_cost_tuples(core)
+        zero = [vid for vid, c in zip(core.var_ids, core.obj) if vid.kind == "tuple" and c == 0.0]
+        assert 0 < len(zero) < math.comb(9, 3)
+        assert reduced.var_ids == [vid for vid in core.var_ids if vid not in zero]
+        assert [core.var_ids[j] for j in lift.dropped] == zero
+        own = {f"ps_{'_'.join(map(str, vid.key))}" for vid in zero}
+        own |= {
+            f"pf_{'_'.join(map(str, vid.key))}_{u}_{v}" for vid in zero for u, v in itertools.combinations(vid.key, 2)
+        }
+        assert reduced.row_names == [name for name in core.row_names if name not in own]
+        assert reduced.num_rows == core.num_rows - 4 * len(zero)
+        rows = [core.row_names.index(name) for name in reduced.row_names]
+        assert (reduced.A != core.A[rows][:, lift.kept]).nnz == 0
+        assert reduced.census == core.census
+
+    def test_lift_of_an_induced_point_is_the_induced_point(self):
+        g = random_graph(6, 3, directed=False)
+        core = build_lp3(build_table1_weights("MMCC", g), 6)
+        reduced, lift = drop_zero_cost_tuples(core)
+        assert len(lift.dropped)
+        for labels in itertools.islice(all_partitions(6), 0, None, 5):
+            part = Partition.from_assignment(labels, n=6)
+            lifted = lift(induced_point(part, reduced))
+            assert lifted.var_ids == core.var_ids
+            assert np.array_equal(lifted.values, induced_point(part, core).values)
+            assert lifted.objective_value == pytest.approx(induced_point(part, core).objective_value)
+
+    def test_lift_takes_the_largest_pair_value(self):
+        n = 5
+        empty = DirectedGraph.from_arcs(n, [])
+        w3 = MotifWeights(3, empty, WeightRule({"OtherTriple": 0.5}))
+        w4 = MotifWeights(4, empty, WeightRule({"any": 0.5}), {(1, 2, 3, 4): 0.9}, classifier=lambda g, t: "any")
+        core = build_lp3_core(MixedWeights([(3, w3, 1.0), (4, w4, 1.0)]), n)
+        reduced, lift = drop_zero_cost_tuples(core)
+        # every triple and every 4-tuple but (1, 2, 3, 4) costs 0
+        assert [vid.key for vid in reduced.var_ids if vid.kind == "tuple"] == [(1, 2, 3, 4)]
+        values = np.random.default_rng(5).random(reduced.num_vars)
+        lifted = lift(FractionalSolution(reduced.var_ids, values, 1.5, "optimal"))
+        assert lifted.objective_value == 1.5 and lifted.status == "optimal"
+        for vid in core.var_ids:
+            if vid in reduced.col_index:
+                assert lifted[vid] == values[reduced.index_of(vid)]
+            else:
+                pairs = itertools.combinations(vid.key, 2)
+                assert lifted[vid] == max(lifted[VarId.pair_var(u, v)] for u, v in pairs)
+
+    def test_nothing_to_drop_returns_the_lp_itself(self, mcc_weights):
+        cc = build_lp3_core(build_table1_weights("CC", karate().graph), 34)
+        assert drop_zero_cost_tuples(cc)[0] is cc
+        # MCC's triple costs are 2w+ - 1 for w+ in {1, 2/3, 0.49}: none is 0
+        lp2 = build_lp3_core(mcc_weights, 6)
+        assert drop_zero_cost_tuples(lp2)[0] is lp2
+        # LP1 rows tie tuple columns to each other, so a zero cost drops nothing
+        rule = WeightRule({"TriangleK3": 0.5, "PathP3": 0.5, "OtherTriple": 0.5})
+        lp1 = build_lp1(MotifWeights(3, DirectedGraph.from_arcs(6, []), rule), 6)
+        assert not lp1.obj.any()
+        reduced, lift = drop_zero_cost_tuples(lp1)
+        assert reduced is lp1 and not len(lift.dropped)
 
 
 class TestInducedPoint:

@@ -1,16 +1,27 @@
 """End-to-end pipeline: configs, staged runs, reports, comparisons."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifcc import pipeline, simplex
+from motifcc.cli import EXIT_SOLVER, main
 from motifcc.errors import InvalidParameterError, SolverFailureError, StageError
 from motifcc.generators import make_fig2a
-from motifcc.graph import Partition, write_edge_list
-from motifcc.lpmodel import build_lp2, build_lp3, count_upsilon, evaluate_objective
-from motifcc.motifs import MixedWeights, MotifWeights, WeightRule, build_table1_weights
+from motifcc.graph import DirectedGraph, Partition, write_edge_list
+from motifcc.lpmodel import (
+    TupleLift,
+    build_lp2,
+    build_lp3,
+    build_lp3_core,
+    count_upsilon,
+    evaluate_objective,
+    induced_point,
+)
+from motifcc.motifs import Layer, MixedWeights, MotifWeights, WeightRule, build_table1_weights
 from motifcc.pipeline import (
     Report,
     RunConfig,
@@ -349,6 +360,92 @@ class TestTriangleRounds:
         monkeypatch.setattr(pipeline, "solve", fails_second)
         with pytest.raises(SolverFailureError, match="iteration-limit in round 2"):
             run(RunConfig(generator="fig2b", generator_args={"n": 10}, method="CC"))
+
+
+W_GRID = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+
+def random_stack(data) -> tuple[MixedWeights, int]:
+    """An optional edge layer plus a k=3 and a k=4 layer on an empty graph,
+    every tuple's w+ drawn from ``W_GRID`` (so some columns cost exactly 0)."""
+    n = data.draw(st.integers(4, 8), label="n")
+    empty = DirectedGraph.from_arcs(n, [])
+    rule = WeightRule({"any": 0.5})  # every tuple has an override
+    layers = []
+    ks = [2, 3, 4] if data.draw(st.booleans(), label="edge_layer") else [3, 4]
+    for k in ks:
+        tuples = list(itertools.combinations(range(1, n + 1), k))
+        wplus = data.draw(st.lists(st.sampled_from(W_GRID), min_size=len(tuples), max_size=len(tuples)))
+        lam = data.draw(st.sampled_from([0.2, 1.0]), label=f"lambda{k}")
+        weights = MotifWeights(k, empty, rule, dict(zip(tuples, wplus)), classifier=lambda g, t: "any")
+        layers.append(Layer(k, weights, lam))
+    return MixedWeights(layers), n
+
+
+def pipeline_solve(mixed: MixedWeights, n: int, engine: str = "simplex") -> pipeline.RelaxationSolve:
+    core = build_lp3_core(mixed, n)
+    start = induced_point(greedy_partition(mixed, n), core).values if engine == "simplex" else None
+    return pipeline.solve_relaxation(core, simplex.SolverConfig(engine=engine), start)
+
+
+class TestZeroCostTuples:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lifted_optimum_is_the_full_lp_optimum(self, data):
+        mixed, n = random_stack(data)
+        engine = data.draw(st.sampled_from(["simplex", "scipy"]), label="engine")
+        relaxed = pipeline_solve(mixed, n, engine)
+        full = build_lp3(mixed, n)
+        ref = simplex.solve(full, simplex.SolverConfig(engine="scipy"))
+        assert ref.status == "optimal"
+        assert relaxed.solution.objective_value == pytest.approx(ref.solution.objective_value, rel=0, abs=1e-7)
+        assert relaxed.solution.var_ids == full.var_ids
+        check = simplex.verify_solution(full, relaxed.solution, tol=1e-6)
+        assert check.ok, check.summary()
+
+    def test_every_tuple_column_costs_zero(self):
+        # the triple layer is all w+ = 0.5: only the edge layer's z costs
+        # are left, and the triple rows come back through the lift alone
+        graph = make_fig2a().graph
+        half = WeightRule({"TriangleK3": 0.5, "PathP3": 0.5, "OtherTriple": 0.5})
+        mixed = MixedWeights([build_table1_weights("CC", graph).layers[0], Layer(3, MotifWeights(3, graph, half), 1.0)])
+        relaxed = pipeline_solve(mixed, 6)
+        assert all(vid.kind == "pair" for vid in relaxed.solved.var_ids)
+        assert relaxed.solved.num_rows == relaxed.problem.census["triangle_active"]
+        full = build_lp3(mixed, 6)
+        ref = simplex.solve(full, simplex.SolverConfig(engine="scipy"))
+        assert relaxed.solution.objective_value == pytest.approx(ref.solution.objective_value, abs=1e-7)
+        assert simplex.verify_solution(full, relaxed.solution, tol=1e-6).ok
+
+    def test_report_counts_the_lp_the_solver_saw(self, tmp_path):
+        cfg = {"input": planted_edges(tmp_path / "planted.txt"), "undirected": True, "method": "MMCC"}
+        config = RunConfig.from_dict(cfg)
+        report = run(config)
+        graph, _ = load_instance(config)
+        core = build_lp3_core(resolve_weights(config, graph), graph.n)
+        zero = int(((core.obj == 0.0) & np.array([vid.kind == "tuple" for vid in core.var_ids])).sum())
+        assert zero > 0
+        assert report.solver["vars_in_lp"] == core.num_vars - zero
+        cc = run(RunConfig(generator="fig2a", method="CC"))
+        assert cc.solver["vars_in_lp"] == 15
+
+    @pytest.mark.parametrize("via", ["run", "cli"])
+    def test_a_lift_that_zeroes_the_left_out_columns_fails_the_check(self, via, monkeypatch, tmp_path, capsys):
+        real_lift = TupleLift.__call__
+
+        def zeroed(self, solution):
+            lifted = real_lift(self, solution)
+            lifted.values[self.dropped] = 0.0
+            return lifted
+
+        monkeypatch.setattr(TupleLift, "__call__", zeroed)
+        edges = planted_edges(tmp_path / "planted.txt")
+        if via == "run":
+            with pytest.raises(SolverFailureError, match=r"LP point infeasible: .*first row pf_"):
+                run(RunConfig(input=edges, undirected=True, method="MMCC"))
+        else:
+            assert main(["solve", "--input", edges, "--undirected", "--method", "MMCC"]) == EXIT_SOLVER
+            assert "first row pf_" in capsys.readouterr().err
 
 
 class TestCompare:
