@@ -739,24 +739,34 @@ def induced_point(partition: Partition, problem: LpProblem) -> FractionalSolutio
 def _labels(partition: Partition, mixed: MixedWeights) -> np.ndarray:
     """Cluster index per vertex (slot 0 unused), for the tuple kernels."""
     n = partition.n
-    if mixed.graph.n != n:
-        raise InvalidParameterError(
-            f"partition n={n} disagrees with weights' graph n={mixed.graph.n}"
-        )
+    _check_n(n, mixed)
     labels = np.zeros(n + 1, dtype=np.int64)
     for v, c in partition.assignment.items():
         labels[v] = c
     return labels
 
 
-def evaluate_objective(partition: Partition, mixed: MixedWeights) -> float:
-    """Σ_t λ_t [Σ_{K split} w+_K + Σ_{K contained} w-_K] over all k_t-tuples."""
-    labels = _labels(partition, mixed)
+def _check_n(n: int, mixed: MixedWeights) -> None:
+    if mixed.graph.n != n:
+        raise InvalidParameterError(
+            f"partition n={n} disagrees with weights' graph n={mixed.graph.n}"
+        )
+
+
+def _labels_cost(labels: np.ndarray, mixed: MixedWeights) -> float:
+    """The objective of the partition whose vertex v carries ``labels[v]``
+    (slot 0 unused; labels need not be dense, only equality counts)."""
+    _check_n(len(labels) - 1, mixed)
     total = 0.0
     for layer in mixed:
         table = layer.weights.tuple_table()
         total += layer.lam * kernels.partition_cost(table.tuples, table.wplus, labels)
     return float(total)
+
+
+def evaluate_objective(partition: Partition, mixed: MixedWeights) -> float:
+    """Σ_t λ_t [Σ_{K split} w+_K + Σ_{K contained} w-_K] over all k_t-tuples."""
+    return _labels_cost(_labels(partition, mixed), mixed)
 
 
 def per_class_breakdown(partition: Partition, mixed: MixedWeights) -> dict:

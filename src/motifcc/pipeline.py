@@ -50,11 +50,12 @@ from .graph import (
 from .lpmodel import (
     FractionalSolution,
     LpProblem,
+    _labels_cost,
     add_triangle_rows,
     build_lp1,
     build_lp3_core,
     drop_zero_cost_tuples,
-    evaluate_objective,
+    evaluate_objective,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.evaluate_objective
     induced_point,
     per_class_breakdown,
     separate_triangles,
@@ -74,7 +75,7 @@ from .rounding import (
     round_alg1,
     round_alg2,
 )
-from .simplex import SolverConfig, SolverResult, solve, verify_solution
+from .simplex import SolverConfig, SolverResult, check_tolerance, solve, verify_solution
 
 SCHEMA_VERSION = 1
 
@@ -105,6 +106,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
+        check_tolerance("tol", self.tol)
+        check_tolerance("certificate_tol", self.certificate_tol)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -354,22 +357,22 @@ def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: in
 
 def greedy_partition(mixed: MixedWeights, n: int, *, max_passes: int = 25) -> Partition:
     """Deterministic local search (single-vertex best moves from
-    singletons); used to warm-start the solver at a decent vertex."""
-    labels = list(range(n))  # vertex v -> cluster label
-    current = evaluate_objective(Partition.from_assignment({v + 1: labels[v] for v in range(n)}, n=n), mixed)
+    singletons); used to warm-start the solver at a decent vertex.  Moves
+    are scored on a label array (vertex v -> label, slot 0 unused)."""
+    labels = np.arange(-1, n, dtype=np.int64)
+    current = _labels_cost(labels, mixed)
     for _ in range(max_passes):
         improved = False
-        for v in range(n):
-            old = labels[v]
-            cands = sorted(set(labels)) + [max(labels) + 1]
+        for v in range(1, n + 1):
+            old = int(labels[v])
+            present = np.unique(labels[1:])
+            cands = [*present.tolist(), int(present[-1]) + 1]
             best_lab, best_cost = old, current
             for lab in cands:
                 if lab == old:
                     continue
                 labels[v] = lab
-                cost = evaluate_objective(
-                    Partition.from_assignment({u + 1: labels[u] for u in range(n)}, n=n), mixed
-                )
+                cost = _labels_cost(labels, mixed)
                 if cost < best_cost - 1e-12:
                     best_lab, best_cost = lab, cost
                 labels[v] = old
@@ -379,7 +382,7 @@ def greedy_partition(mixed: MixedWeights, n: int, *, max_passes: int = 25) -> Pa
                 improved = True
         if not improved:
             break
-    return Partition.from_assignment({v + 1: labels[v] for v in range(n)}, n=n)
+    return Partition.from_assignment(labels[1:].tolist(), n=n)
 
 
 def _instance_digest(graph: DirectedGraph) -> str:
@@ -478,6 +481,7 @@ def run(config: RunConfig) -> Report:
             "iterations": sum(r.iterations for r in rounds),
             "pivots": sum(r.pivots for r in rounds),
             "bound_flips": sum(r.bound_flips for r in rounds),
+            "refactors": sum(r.refactors for r in rounds),
             "row_rounds": len(rounds),
             "round_iterations": [r.iterations for r in rounds],
             "rows_in_lp": relaxed.solved.num_rows,

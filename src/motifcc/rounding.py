@@ -26,6 +26,7 @@ from . import kernels
 from .errors import (
     CertificateViolationError,
     InvalidParameterError,
+    InvalidVertexError,
 )
 from .graph import KTuple, Partition
 from .lpmodel import FractionalSolution, evaluate_objective
@@ -132,6 +133,14 @@ def edge_scores_alg1(x, S, v: int, *, k: int | None = None) -> dict[int, float]:
     return {u: float(y[u]) for u in sorted(S) if u != v}
 
 
+def _check_vertices(labels: np.ndarray, n: int) -> None:
+    """Every vertex label the solution names must lie in [1..n]."""
+    if labels.size:
+        lo, hi = int(labels.min()), int(labels.max())
+        if lo < 1 or hi > n:
+            raise InvalidVertexError(f"solution vertex {lo if lo < 1 else hi} outside [1..n] for n={n}")
+
+
 def _validate_alpha(alpha: float, k: int) -> None:
     if not (0.0 < alpha <= 1.0 / k + 1e-12):
         raise InvalidParameterError(
@@ -203,6 +212,7 @@ def round_alg1(
     singleton cut when sum(y) > (alpha/2)·|N|."""
     _validate_alpha(params.alpha, k)
     tuples, vals, _ = _tuple_arrays(x, k)
+    _check_vertices(tuples, n)
 
     def score_row(v, active):
         return kernels.pair_min_scores(tuples, vals, active, v)
@@ -214,6 +224,7 @@ def round_alg1(
 def _pair_matrix(z, n: int) -> np.ndarray:
     if isinstance(z, FractionalSolution):
         z = z.pair_values()
+    _check_vertices(np.array(list(z), dtype=np.int64), n)
     mat = np.zeros((n + 1, n + 1))
     for (u, v), val in z.items():
         mat[u, v] = mat[v, u] = val

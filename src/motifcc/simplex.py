@@ -10,7 +10,12 @@ Design notes:
   p x p sparse LU (scipy splu) on the rows not covered by basic slacks,
   where p = number of basic structural columns.  Between refactorizations
   pivots are absorbed by a product-form eta file (kernels.ftran_etas /
-  btran_etas) that stores each eta's pivot value next to its column.
+  btran_etas).  The kernels apply all k etas at once in compact form,
+  I - W~^T T^-1 S: one k x k triangular solve and one pass over the stored
+  entries per ftran or btran, instead of one step per eta (the idea of the
+  compact WY form of Householder products, Schreiber & Van Loan 1989).
+  Each append adds T's new row from one scan of the stored entries for the
+  new pivot row.
 * The basis is refactored after REFACTOR_EVERY pivots or once the eta file
   holds ``eta_budget`` entries, whichever comes first.  On the triangle-row
   LPs the etas are dense (most of the m rows), so the budget fires about
@@ -108,6 +113,7 @@ class SolverResult:
     phase1_iterations: int = 0
     dual_iterations: int = 0
     basis: SimplexBasis | None = None  # final basis of an optimal in-repo solve
+    refactors: int = 0  # sparse LU factorizations (splu calls)
 
 
 @dataclass
@@ -137,14 +143,27 @@ class ViolationReport:
         return f"{len(self.violations)} violations (worst {worst:.3e}) at tol {self.tol:g}"
 
 
+def check_tolerance(name: str, tol) -> None:
+    """Reject a check tolerance that is not a finite number >= 0: every
+    comparison with NaN is false, so a NaN tolerance would pass any point."""
+    try:
+        ok = math.isfinite(tol) and tol >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be finite and non-negative, got {tol!r}")
+
+
 def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
     """Independent feasibility check: every row and bound violated beyond
     ``tol`` is listed, and so is every NaN or infinite value or row
     activity; an empty report means feasible.
 
     ``solution`` may be a FractionalSolution or a variable-name -> value
-    mapping (unknown names rejected, missing names default to 0).
+    mapping (unknown names rejected, missing names default to 0).  ``tol``
+    must be finite and >= 0 (``check_tolerance``).
     """
+    check_tolerance("tolerance", tol)
     if isinstance(solution, FractionalSolution):
         x = solution.values
     else:
@@ -241,10 +260,12 @@ class _Basis:
 
 
 class _EtaFile:
-    """Product-form update columns, stored flat for the kernels.
+    """Product-form update columns, stored flat for the kernels, plus the
+    lower-triangular factor T of their compact form (see kernels.py).
 
     Allocated once per solve: ``max_entries`` and ``max_etas`` bound what the
-    file holds between two refactorizations, and ``clear`` empties it.
+    file holds between two refactorizations, and ``clear`` empties it; row e
+    of T is rewritten when eta e is appended again.
     """
 
     def __init__(self, max_entries: int, max_etas: int):
@@ -252,7 +273,7 @@ class _EtaFile:
         self.val = np.empty(max_entries)
         self.starts = np.zeros(max_etas + 1, dtype=np.int64)
         self.pivots = np.empty(max_etas, dtype=np.int64)
-        self.pivvals = np.empty(max_etas)
+        self.T = np.zeros((max_etas, max_etas))
         self.count = 0
         self.top = 0
 
@@ -261,19 +282,27 @@ class _EtaFile:
         self.top = 0
 
     def append(self, nz_idx: np.ndarray, nz_val: np.ndarray, pivot_pos: int, pivot_val: float):
-        need = self.top + len(nz_idx)
-        self.idx[self.top : need] = nz_idx
-        self.val[self.top : need] = nz_val
+        e, top = self.count, self.top
+        # row e of T: each earlier eta's entry at the new pivot row, less 1
+        # where that eta pivoted on the same row
+        row = self.T[e, :e]
+        row[:] = 0.0
+        hits = np.flatnonzero(self.idx[:top] == pivot_pos)
+        row[np.searchsorted(self.starts[1 : e + 1], hits, side="right")] = self.val[hits]
+        row[self.pivots[:e] == pivot_pos] -= 1.0
+        self.T[e, e] = pivot_val
+        need = top + len(nz_idx)
+        self.idx[top:need] = nz_idx
+        self.val[top:need] = nz_val
         self.top = need
-        self.pivots[self.count] = pivot_pos
-        self.pivvals[self.count] = pivot_val
+        self.pivots[e] = pivot_pos
         self.count += 1
-        self.starts[self.count] = self.top
+        self.starts[self.count] = need
 
     def _args(self, y: np.ndarray) -> tuple:
         c = self.count
         return (self.starts[: c + 1], self.idx[: self.top], self.val[: self.top],
-                self.pivots[:c], self.pivvals[:c], y)
+                self.pivots[:c], self.T[:c, :c], y)
 
     def ftran(self, y: np.ndarray) -> np.ndarray:
         if self.count:
@@ -335,6 +364,7 @@ class _Workspace:
         self.pivots_since_refactor = 0
         self.total_pivots = 0
         self.total_flips = 0
+        self.refactors = 0
         self.degenerate_run = 0
         self.devex = np.ones(self.N)
         # eta-file entries before a forced refactorization; the file gets
@@ -356,6 +386,8 @@ class _Workspace:
 
     def refactor(self):
         self.basis = _Basis(self.A, self.basic, self.m, self.unit_row, self.unit_sign)
+        if self.basis.lu is not None:
+            self.refactors += 1
         self.etas.clear()
         rhs = self.b - self.A @ self.nonbasic_values()
         self.xB = self.basis.ftran(rhs)
@@ -627,7 +659,7 @@ def solve(
     def result(status: str, sol: FractionalSolution | None = None) -> SolverResult:
         return SolverResult(status, sol, ws.iterations, time.perf_counter() - t0, ws.total_pivots,
                             ws.total_flips, phase1_iters, ws.dual_iterations,
-                            ws.export_basis() if sol is not None else None)
+                            ws.export_basis() if sol is not None else None, ws.refactors)
 
     if basis is not None:
         status = _dual_phase(ws)

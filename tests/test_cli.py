@@ -207,6 +207,19 @@ class TestRoundCommand:
         assert code == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("algorithm", ["alg1", "alg2"])
+    @pytest.mark.parametrize("n", [4, 0])
+    def test_n_below_the_solution_vertices_exits_2(self, algorithm, n, tmp_path, capsys):
+        dump = tmp_path / "problem.lp.txt"
+        fig2a_lp2().to_text(str(dump))
+        sol = tmp_path / "solution.json"
+        main(["solve", "--lp-dump", str(dump), "--solution-out", str(sol)])
+        capsys.readouterr()
+        code = main(["round", "--solution", str(sol), "--n", str(n), "--k", "3", "--algorithm", algorithm])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "vertex 6" in err and f"n={n}" in err
+
     @pytest.mark.parametrize("missing", ["objective_value", "status"])
     def test_solution_without_required_key_exits_2(self, missing, tmp_path, capsys):
         payload = {"status": "optimal", "objective_value": 1.0, "values": {"z_1_2": 0.5}}
@@ -360,6 +373,14 @@ class TestCompareCommand:
         cfg.write_text("{not json")
         assert main(["compare", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("tol", ["NaN", "Infinity", "-1e-6"])
+    def test_bad_certificate_tol_exits_2(self, tol, tmp_path, capsys):
+        cfg = tmp_path / "cmp.json"
+        # json.dumps cannot write NaN as a literal, so the file is written by hand
+        cfg.write_text('{"runs": [{"generator": "fig2a", "weights": "fig2", "certificate_tol": %s}]}' % tol)
+        assert main(["compare", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"got {float(tol)}" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_valid_solution_passes(self, tmp_path, capsys):
@@ -369,6 +390,15 @@ class TestVerifyCommand:
         main(["solve", "--lp-dump", str(dump), "--solution-out", str(sol)])
         capsys.readouterr()
         assert main(["verify", "--problem", str(dump), "--solution", str(sol)]) == EXIT_OK
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_2(self, tol, tmp_path, capsys):
+        dump = tmp_path / "problem.lp.txt"
+        fig2a_lp2().to_text(str(dump))
+        sol = tmp_path / "solution.json"
+        sol.write_text(json.dumps({"z_1_2": 7.0}))  # 6.0 above its bound
+        assert main(["verify", "--problem", str(dump), "--solution", str(sol), "--tol", tol]) == EXIT_CONFIG
+        assert f"got {float(tol)}" in capsys.readouterr().err
 
     def test_violated_solution_exits_4(self, tmp_path, capsys):
         dump = tmp_path / "problem.lp.txt"

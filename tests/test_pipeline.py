@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from motifcc import pipeline, simplex
 from motifcc.cli import EXIT_SOLVER, main
 from motifcc.errors import InvalidParameterError, SolverFailureError, StageError
-from motifcc.generators import make_fig2a
+from motifcc.generators import make_fig2a, make_fixture
 from motifcc.graph import DirectedGraph, Partition, write_edge_list
 from motifcc.lpmodel import (
     TupleLift,
@@ -49,6 +49,12 @@ class TestRunConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(InvalidParameterError, match="unknown config keys"):
             RunConfig.from_dict({"generator": "fig2a", "wieghts": "fig2"})
+
+    @pytest.mark.parametrize("key", ["tol", "certificate_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-6, "1e-6", None])
+    def test_tolerance_must_be_finite_and_non_negative(self, key, value):
+        with pytest.raises(InvalidParameterError, match=key):
+            RunConfig.from_dict({**FIG2A, key: value})
 
 
 class TestLoadInstance:
@@ -184,6 +190,41 @@ class TestGreedyPartition:
         mixed = build_table1_weights("CC", make_fig2a().graph)
         part = greedy_partition(mixed, 6)
         assert set(part.clusters) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
+
+    @pytest.mark.parametrize("method", ["CC", "MCC", "MMCC"])
+    def test_same_moves_as_scoring_partitions(self, method):
+        """The label-array search makes the moves a search that scores a
+        Partition per candidate makes, cost for cost."""
+        graph = make_fixture("karate", {}).graph if method == "CC" else make_fixture("fig2b", {"n": 10}).graph
+        mixed = build_table1_weights(method, graph)
+        n = graph.n
+        labels = list(range(n))
+        current = evaluate_objective(Partition.from_assignment(labels), mixed)
+        for _ in range(25):
+            improved = False
+            for v in range(n):
+                old = labels[v]
+                best_lab, best_cost = old, current
+                for lab in sorted(set(labels)) + [max(labels) + 1]:
+                    if lab == old:
+                        continue
+                    labels[v] = lab
+                    cost = evaluate_objective(Partition.from_assignment(labels), mixed)
+                    if cost < best_cost - 1e-12:
+                        best_lab, best_cost = lab, cost
+                    labels[v] = old
+                if best_lab != old:
+                    labels[v], current, improved = best_lab, best_cost, True
+            if not improved:
+                break
+        got = greedy_partition(mixed, n)
+        assert got.clusters == Partition.from_assignment(labels).clusters
+        assert evaluate_objective(got, mixed) == current
+
+    def test_size_mismatch_rejected(self):
+        mixed = build_table1_weights("CC", make_fig2a().graph)
+        with pytest.raises(InvalidParameterError, match="disagrees"):
+            greedy_partition(mixed, 5)
 
 
 class TestRun:
@@ -328,6 +369,19 @@ class TestTriangleRounds:
         assert len(per_round) == report.solver["row_rounds"] >= 2
         assert sum(per_round) == report.solver["iterations"] <= 1000
         assert report.lp_value == pytest.approx(249.25, abs=1e-7)
+
+    def test_refactors_count_the_lu_factorizations(self, monkeypatch):
+        calls = []
+        splu = simplex.splu
+
+        def counted_splu(sub):
+            calls.append(sub.shape)
+            return splu(sub)
+
+        monkeypatch.setattr(simplex, "splu", counted_splu)
+        report = run(RunConfig(generator="karate", weights="table1", method="CC"))
+        assert report.solver["row_rounds"] >= 2
+        assert report.solver["refactors"] == len(calls) > 0
 
     @pytest.mark.parametrize("failure", ["status", "exception"])
     def test_failed_reentry_names_the_round(self, failure, monkeypatch):

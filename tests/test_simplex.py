@@ -265,6 +265,14 @@ class TestVerifySolution:
         names = {v.name for v in verify_solution(lp, point).violations}
         assert "z_1_2" in names and "tri_1_2_3_a3" in names
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_rejects_a_tolerance_not_finite_and_non_negative(self, tol):
+        lp = build_lp2(fig2_weights(make_fig2a().graph).layers[0].weights, 6)
+        point = FractionalSolution(lp.var_ids, np.full(lp.num_vars, 6.0), 0.0, "candidate")
+        with pytest.raises(InvalidParameterError, match=f"got {tol}"):
+            verify_solution(lp, point, tol=tol)
+        assert verify_solution(lp, point, tol=0.0).violations
+
     def test_accepts_name_map(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
@@ -324,10 +332,10 @@ class TestVerifyAgainstLoop:
 # arithmetic (pricing, ratio test, refactorization schedule, tolerances)
 # usually moves some of these; a change to overhead alone moves none.
 PINNED_FIG2 = {
-    ("fig2a", "lp2"): (76, 74, 2, 0),
-    ("fig2a", "lp1"): (48, 47, 1, 0),
+    ("fig2a", "lp2"): (83, 81, 2, 0),
+    ("fig2a", "lp1"): (49, 48, 1, 0),
     ("fig2b", "lp2"): (314, 312, 2, 2),
-    ("fig2b", "lp1"): (245, 244, 1, 8),
+    ("fig2b", "lp1"): (246, 245, 1, 8),
 }
 # per seed of random_problem: (status, iterations, pivots, bound flips, phase-1 iterations)
 PINNED_RANDOM = [
@@ -373,6 +381,30 @@ class TestPivotForPivot:
         assert res.status == "optimal"
         got = (res.iterations, res.pivots, res.bound_flips, len(factorizations))
         assert got == PINNED_FIG2[(fixture, relaxation)]
+
+    @pytest.mark.parametrize("fixture,relaxation", sorted(PINNED_FIG2))
+    def test_fig2_optimum_matches_scipy(self, fixture, relaxation):
+        fix = make_fig2a() if fixture == "fig2a" else make_fig2b(10)
+        weights = next(iter(fig2_weights(fix.graph))).weights
+        lp = (build_lp1 if relaxation == "lp1" else build_lp2)(weights, fix.graph.n)
+        ours = solve(lp).solution.objective_value
+        ref = solve(lp, SolverConfig(engine="scipy")).solution.objective_value
+        assert ours == pytest.approx(ref, rel=1e-9)
+
+    def test_refactors_count_the_lu_factorizations(self, monkeypatch):
+        fix = make_fig2b(10)
+        lp = build_lp1(next(iter(fig2_weights(fix.graph))).weights, 10)
+        calls = []
+        splu = simplex.splu
+
+        def counted_splu(sub):
+            calls.append(sub.shape)
+            return splu(sub)
+
+        monkeypatch.setattr(simplex, "splu", counted_splu)
+        res = solve(lp)
+        assert res.refactors == len(calls) == PINNED_FIG2[("fig2b", "lp1")][3]
+        assert solve(lp, SolverConfig(engine="scipy")).refactors == 0
 
     def test_random_lp_counts(self):
         got = [counters(solve(random_problem(np.random.default_rng(seed)))) for seed in range(60)]
@@ -420,7 +452,7 @@ class TestInternals:
 
         def spy_append(self, *args):
             append(self, *args)
-            seen.append((self, self.idx, self.val, self.starts, self.pivots, self.pivvals))
+            seen.append((self, self.idx, self.val, self.starts, self.pivots, self.T))
 
         def spy_refactor(self):
             refactor(self)
