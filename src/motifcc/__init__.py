@@ -3,8 +3,9 @@
 Cluster the vertices of a (di)graph so that k-tuples carrying a motif tend
 to stay inside one cluster while motif-free tuples are split, minimizing
 total weighted disagreement.  The toolkit builds linear-programming
-relaxations over tuple and pair variables, solves them with a
-bounded-variable revised simplex method, rounds the fractional solution
+relaxations over tuple and pair variables, solves them with scipy's
+bundled HiGHS (LP2/LP3) or a bounded-variable revised simplex (LP1),
+rounds the fractional solution
 with region-growing procedures, and certifies the resulting approximation
 ratio.  Exact enumeration and classical pivot heuristics are included for
 ground truth and comparison at small scale.

@@ -2,9 +2,9 @@
 
 Subcommands
 -----------
-solve     full pipeline (instance -> weights -> LP -> simplex, adding the
+solve     full pipeline (instance -> weights -> LP -> solve, adding the
           violated triangle rows -> rounding -> certificate), or a
-          standalone solve of a problem dump (--lp-dump)
+          standalone HiGHS solve of a problem dump (--lp-dump)
 round     apply a rounding procedure to a saved fractional solution
 exact     exhaustive minimum-disagreement search (small n)
 baseline  randomized vertex- or edge-pivot heuristics
@@ -117,8 +117,6 @@ def _config_from_args(args) -> RunConfig:
         seed=args.seed,
         tol=getattr(args, "tol", 1e-7),
         max_iterations=getattr(args, "max_iterations", 200_000),
-        engine=getattr(args, "engine", "simplex"),
-        warm_start=not getattr(args, "no_warm_start", False),
         out=getattr(args, "out", None),
         trace=getattr(args, "trace", None),
     )
@@ -138,7 +136,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     if args.lp_dump:
         problem = LpProblem.from_text(args.lp_dump)
-        cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations, engine=args.engine)
+        cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations, engine="scipy")
         result = solve(problem, cfg)
         payload = {
             "status": result.status,
@@ -291,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motifcc",
         description="Motif correlation clustering: LP relaxations, a bounded-variable "
-        "simplex solver, region-growing rounding, and certificates.",
+        "simplex solver and HiGHS, region-growing rounding, and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -306,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
     p.add_argument("--max-iterations", type=int, default=200_000)
-    p.add_argument("--engine", default="simplex", choices=["simplex", "scipy"])
-    p.add_argument("--no-warm-start", action="store_true")
     p.add_argument("--out", help="write the run report JSON here")
     p.add_argument("--trace", help="write the rounding trace (JSON lines) here")
     p.add_argument("--lp-dump", help="solve this problem dump instead of building one")

@@ -1,13 +1,13 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
 LP2 and LP3 are built without their 3·C(n,3) triangle rows.  The solve
-stage solves that core LP from the greedy warm start, adds the triangle
-rows the optimum violates (``separate_triangles`` at the solver
-tolerance) and solves again, until no omitted row is violated; that
-optimum is then optimal for the full LP.  Every round after the first
-re-enters the in-repo simplex from the previous round's optimal basis,
-with the added rows' slacks basic, and the dual simplex phase restores
-primal feasibility.  The solve also leaves out the tuple columns of
+stage solves that core LP on HiGHS, adds the triangle rows the optimum
+violates (``separate_triangles`` at the solver tolerance) and solves
+again, until no omitted row is violated; that optimum is then optimal for
+the full LP.  One HiGHS instance serves all rounds: each later round
+passes it only the added rows, and HiGHS re-optimizes from its last
+basis.  LP1 is built in full and solved once by the in-repo simplex from
+the greedy warm start.  The solve also leaves out the tuple columns of
 objective coefficient exactly 0 and their own rows
 (``drop_zero_cost_tuples``: the triangle rows imply them) and lifts those
 columns back from z at the end.  The check stage verifies the lifted point
@@ -75,7 +75,7 @@ from .rounding import (
     round_alg1,
     round_alg2,
 )
-from .simplex import SolverConfig, SolverResult, check_tolerance, solve, verify_solution
+from .simplex import HighsModel, SolverConfig, SolverResult, check_tolerance, solve, verify_solution
 
 SCHEMA_VERSION = 1
 
@@ -99,8 +99,6 @@ class RunConfig:
     tol: float = 1e-7
     certificate_tol: float = 1e-6
     max_iterations: int = 200_000
-    engine: str = "simplex"
-    warm_start: bool = True
     out: str | None = None
     trace: str | None = None
 
@@ -286,41 +284,37 @@ def solve_relaxation(
     ``core`` plus the active rows (in ``build_lp3`` order), which the check
     stage verifies, left-out tuple rows included.
 
-    Round 1 starts from ``start`` (a point of ``core``, sliced to the kept
-    columns): an integral partition satisfies all triangle rows, so it
-    needs no phase 1.  Each later round starts from the previous optimal
-    basis mapped onto the enlarged LP: kept rows keep their slack status
-    and each added row enters with its slack basic.  The reduced costs do
-    not change, so that basis is dual feasible and the dual simplex phase
-    re-optimizes it.  A failed round, re-entry included, raises
+    ``start`` (a point of ``core``, sliced to the kept columns) seeds the
+    in-repo simplex.  With HiGHS every round solves in one ``HighsModel``:
+    the rows a round adds go after the rows already there, and HiGHS
+    re-optimizes from the previous optimal basis.  A failed round raises
     SolverFailureError naming the round.
     """
     reduced, lift = drop_zero_cost_tuples(core)
     if start is not None:
         start = start[lift.kept]
+    model = HighsModel() if config.engine == "scipy" else None
     problem = reduced
     active = np.empty((0, 4), dtype=np.int64)
     rounds: list[SolverResult] = []
-    basis = None
     while True:
         try:
-            result = solve(problem, config, start_values=start if basis is None else None, basis=basis)
+            result = solve(problem, config, start_values=start, model=model)
         except SolverFailureError as exc:
             raise SolverFailureError(f"{exc} in round {len(rounds) + 1}") from exc
         rounds.append(result)
         if result.status != "optimal":
             raise SolverFailureError(f"solver returned status {result.status} in round {len(rounds)}")
         violated = separate_triangles(problem, result.solution.values, config.tol)
-        merged, where = np.unique(np.concatenate([active, violated]), axis=0, return_inverse=True)
-        if len(merged) == len(active):
-            full = problem if reduced is core else add_triangle_rows(core, active)
+        # a row already in the LP can show up again within rounding of tol
+        both = np.concatenate([active, violated])
+        first = np.unique(both, axis=0, return_index=True)[1]
+        added = both[np.sort(first[first >= len(active)])]
+        if not len(added):
+            full = problem if reduced is core else add_triangle_rows(core, np.unique(active, axis=0))
             return RelaxationSolve(full, lift(result.solution), problem, rounds)
-        if result.basis is not None:
-            m_core = reduced.num_rows
-            kept = m_core + where.ravel()[: len(active)]
-            basis = result.basis.with_rows(np.concatenate([np.arange(m_core), kept]), m_core + len(merged))
-        active = merged
-        problem = add_triangle_rows(reduced, active)
+        active = np.concatenate([active, added])
+        problem = add_triangle_rows(problem, added)
 
 
 def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: int) -> Recommendation:
@@ -404,10 +398,12 @@ def run(config: RunConfig) -> Report:
         relaxation = pick_relaxation(config, mixed)
     with stage("build", timings):
         problem = build_relaxation(relaxation, mixed, n)
-    solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations, engine=config.engine)
+    # LP1 stays on the in-repo simplex, from the greedy warm start: on
+    # HiGHS its fully built LP made small batches slower and larger
+    engine = "simplex" if relaxation == "LP1" else "scipy"
+    solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations, engine=engine)
     start = None
-    # only the in-repo simplex takes a starting point
-    if config.warm_start and solver_cfg.engine == "simplex":
+    if engine == "simplex":
         with stage("warm_start", timings):
             start = induced_point(greedy_partition(mixed, n), problem).values
     with stage("solve", timings):
@@ -476,7 +472,7 @@ def run(config: RunConfig) -> Report:
         },
         breakdown=breakdown,
         solver={
-            "engine": config.engine,
+            "engine": engine,
             "status": rounds[-1].status,
             "iterations": sum(r.iterations for r in rounds),
             "pivots": sum(r.pivots for r in rounds),
@@ -486,7 +482,6 @@ def run(config: RunConfig) -> Report:
             "round_iterations": [r.iterations for r in rounds],
             "rows_in_lp": relaxed.solved.num_rows,
             "vars_in_lp": relaxed.solved.num_vars,
-            "warm_start": start is not None,
         },
         timings={**timings, "solver_wall": sum(r.wall_time for r in rounds)},
     )

@@ -33,25 +33,27 @@ Design notes:
 * Infeasible starts (only possible for hand-written dumps or warm starts
   gone wrong — the clustering LPs have b = 0 and start feasible at the
   origin) go through a phase-1 with artificial columns.
-* A solve can instead start from a given basis (``SimplexBasis``, as
-  returned on an optimal ``SolverResult``).  It runs dual simplex
-  iterations until the point is primal feasible (leaving row of largest
-  infeasibility, Harris two-pass ratio test on the pivot row), then the
-  primal phase cleans up.  This re-optimizes an optimal basis after rows
-  were added with their slacks basic: the reduced costs do not change, so
-  the basis stays dual feasible.  Nonbasic columns whose reduced costs have
-  the wrong sign get their cost shifted for the dual phase only (Koberstein,
-  *The Dual Simplex Method*, 2005).
+* The pipeline runs this simplex on LP1 only, from the greedy warm start.
+  LP2/LP3 and ``--lp-dump`` go to HiGHS (engine ``"scipy"``): the copy
+  scipy bundles, loaded by ``highs_core`` without importing
+  ``scipy.optimize``.  A ``HighsModel`` keeps one HiGHS instance across
+  the triangle-separation rounds; each round passes it only the added rows
+  (``addRows``), so HiGHS re-optimizes from its last basis.
 
 Everything is deterministic: ties break on the lowest index, and the
 refactorization schedule is fixed by the pivot count and the eta-file size.
+HiGHS runs on one thread, which makes it deterministic too.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,7 +73,7 @@ BLAND_TRIGGER = 20_000  # degenerate pivots in a row before switching to Bland's
 class SolverConfig:
     tol: float = 1e-7  # primal feasibility and dual optimality tolerance
     max_iterations: int = 200_000
-    engine: str = "simplex"  # "simplex" | "scipy" (cross-validation seam)
+    engine: str = "simplex"  # "simplex" (in-repo) | "scipy" (scipy's bundled HiGHS)
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -83,36 +85,15 @@ class SolverConfig:
 
 
 @dataclass
-class SimplexBasis:
-    """A basis of an LP with n columns and m rows: column j < n is
-    structural, column n + i is the slack of row i."""
-
-    basic: np.ndarray  # m column indices, one per basis position
-    vstat: np.ndarray  # n + m statuses: AT_LOWER, AT_UPPER or BASIC
-
-    def with_rows(self, row_map: np.ndarray, num_rows: int) -> "SimplexBasis":
-        """This basis on an LP with ``num_rows`` rows whose row
-        ``row_map[i]`` is row i here; rows outside ``row_map`` enter with
-        their slack basic."""
-        n = len(self.vstat) - len(self.basic)
-        col_map = np.concatenate([np.arange(n), n + np.asarray(row_map, dtype=np.int64)])
-        vstat = np.full(n + num_rows, BASIC, dtype=np.int8)
-        vstat[col_map] = self.vstat
-        added = np.setdiff1d(np.arange(num_rows), row_map)
-        return SimplexBasis(np.concatenate([col_map[self.basic], n + added]), vstat)
-
-
-@dataclass
 class SolverResult:
-    status: str  # optimal | infeasible | unbounded | iteration-limit
+    status: str  # optimal | infeasible | unbounded | iteration-limit | other HiGHS model status
     solution: FractionalSolution | None
-    iterations: int  # all phases, dual iterations included
+    iterations: int  # all phases; HiGHS: its simplex_iteration_count for this run
     wall_time: float
+    # in-repo simplex only (0 from HiGHS)
     pivots: int = 0
     bound_flips: int = 0
     phase1_iterations: int = 0
-    dual_iterations: int = 0
-    basis: SimplexBasis | None = None  # final basis of an optimal in-repo solve
     refactors: int = 0  # sparse LU factorizations (splu calls)
 
 
@@ -318,8 +299,7 @@ class _EtaFile:
 class _Workspace:
     """Mutable state of one solve."""
 
-    def __init__(self, problem: LpProblem, config: SolverConfig, start_values: np.ndarray | None,
-                 basis: SimplexBasis | None = None):
+    def __init__(self, problem: LpProblem, config: SolverConfig, start_values: np.ndarray | None):
         self.cfg = config
         m, n = problem.num_rows, problem.num_vars
         self.m, self.n = m, n
@@ -346,21 +326,9 @@ class _Workspace:
             self.vstat[:n] = np.where(start_values > mid, AT_UPPER, AT_LOWER)
         self.basic = np.arange(n, self.N, dtype=np.int64)
         self.vstat[self.basic] = BASIC
-        if basis is not None:
-            self.basic = np.asarray(basis.basic, dtype=np.int64).copy()
-            self.vstat = np.asarray(basis.vstat, dtype=np.int8).copy()
-            fits = (
-                self.basic.shape == (m,)
-                and self.vstat.shape == (self.N,)
-                and np.count_nonzero(self.vstat == BASIC) == m
-                and bool((self.vstat[self.basic] == BASIC).all())
-            )
-            if not fits or not np.isfinite(self.nonbasic_values()).all():
-                raise InvalidParameterError("starting basis does not fit the problem")
         self.basis: _Basis | None = None
         self.xB = np.zeros(m)
         self.iterations = 0
-        self.dual_iterations = 0
         self.pivots_since_refactor = 0
         self.total_pivots = 0
         self.total_flips = 0
@@ -417,16 +385,6 @@ class _Workspace:
         x = self.nonbasic_values()
         x[self.basic] = self.xB
         return x
-
-    def export_basis(self) -> SimplexBasis:
-        basic = self.basic.copy()
-        # a basic artificial (fixed at 0 after phase 1) stands in for its
-        # row's slack, which is then nonbasic
-        art = basic >= self.n + self.m
-        basic[art] = self.n + self.unit_row[basic[art]]
-        vstat = self.vstat[: self.n + self.m].copy()
-        vstat[basic] = BASIC
-        return SimplexBasis(basic, vstat)
 
     def absorb_pivot(self, r: int, j: int, w: np.ndarray, abs_w: np.ndarray, t: float) -> None:
         """Record column j entering at basis position r (w = B^-1 a_j) in
@@ -543,50 +501,6 @@ class _Workspace:
         self.absorb_pivot(r, j, w, abs_w, t)
         return "step"
 
-    def dual_step(self, cost: np.ndarray) -> str:
-        """One dual simplex iteration; returns 'feasible', 'infeasible' or 'step'."""
-        if self.d is None:
-            self.d = self.reduced_costs(cost)
-        below = self.lb[self.basic] - self.xB
-        above = self.xB - self.ub[self.basic]
-        r = int(np.argmax(np.maximum(below, above)))
-        if max(below[r], above[r]) <= self.cfg.tol:
-            return "feasible"
-        # the leaving variable moves up to its lower bound or down to its upper
-        to_lower = below[r] > above[r]
-        alpha = self.pivot_row(r)
-        sa = alpha if to_lower else -alpha
-        free = self.free
-        at_lower = (self.vstat == AT_LOWER) & free
-        at_upper = (self.vstat == AT_UPPER) & free
-        cand = np.nonzero((at_lower & (sa < -1e-9)) | (at_upper & (sa > 1e-9)))[0]
-        if not len(cand):
-            return "infeasible"  # row r is a Farkas certificate
-        # Harris pass 1 bounds the dual step with every reduced cost relaxed
-        # by tol; pass 2 takes the largest pivot among the ratios within it
-        slack = np.maximum(np.where(at_lower[cand], self.d[cand], -self.d[cand]), 0.0)
-        abs_a = np.abs(sa[cand])
-        t_max = ((slack + self.cfg.tol) / abs_a).min()
-        within = np.nonzero(slack / abs_a <= t_max)[0]
-        q = int(cand[within[np.argmax(abs_a[within])]])
-        w = self.ftran(self.column(q))
-        abs_w = np.abs(w)
-        if abs_w[r] < 1e-11:
-            if self.pivots_since_refactor:
-                self.refactor()
-                return self.dual_step(cost)
-            raise SolverFailureError("numerically singular pivot column")
-        leaving = int(self.basic[r])
-        theta = (self.xB[r] - (self.lb[leaving] if to_lower else self.ub[leaving])) / w[r]
-        enter_val = (self.lb[q] if self.vstat[q] == AT_LOWER else self.ub[q]) + theta
-        self.d -= (self.d[q] / w[r]) * alpha
-        self.d[q] = 0.0
-        self.xB -= theta * w
-        self.xB[r] = enter_val
-        self.vstat[leaving] = AT_LOWER if to_lower else AT_UPPER
-        self.absorb_pivot(r, q, w, abs_w, abs(theta))
-        return "step"
-
     def run_phase(self, cost: np.ndarray) -> str:
         self.d = None  # cost vector may differ from the previous phase
         while True:
@@ -598,34 +512,118 @@ class _Workspace:
             self.iterations += 1
 
 
-def _solve_scipy(problem: LpProblem, config: SolverConfig, t0: float) -> SolverResult:
-    """Cross-validation seam: scipy linprog on the same standard form."""
-    from scipy.optimize import linprog
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-    A_ub_rows = problem.senses != 0
-    sign = np.where(problem.senses == 1, -1.0, 1.0)[A_ub_rows]
-    A_ub = sp.diags(sign) @ problem.A[A_ub_rows]
-    b_ub = sign * problem.rhs[A_ub_rows]
-    eq = problem.senses == 0
-    res = linprog(
-        problem.obj,
-        A_ub=A_ub if A_ub.shape[0] else None,
-        b_ub=b_ub if A_ub.shape[0] else None,
-        A_eq=problem.A[eq] if eq.any() else None,
-        b_eq=problem.rhs[eq] if eq.any() else None,
-        bounds=list(zip(problem.lb, problem.ub)),
-        method="highs",
-        options={
-            "maxiter": config.max_iterations,
-            "primal_feasibility_tolerance": config.tol,
-            "dual_feasibility_tolerance": config.tol,
-        },
-    )
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, "iteration-limit")
+
+def highs_core():
+    """The HiGHS extension module that scipy bundles, without importing
+    ``scipy.optimize``.
+
+    This is private scipy API: ``scipy/optimize/_highspy/_core`` is the
+    pybind11 module behind ``linprog(method="highs")``, shipped with
+    ``_Highs.addRows`` since scipy 1.15.  If ``scipy.optimize`` has loaded
+    it already, that module is returned.  Otherwise the file is loaded from
+    scipy's package directory and registered under the same name, so a
+    later ``linprog`` reuses it.  This costs about 3 MB of peak RSS, against
+    about 17 MB for ``import scipy.optimize``.  A missing file or a module
+    without the names used here raises SolverFailureError naming it.
+    """
+    core = sys.modules.get(_HIGHS_MODULE)
+    if core is None:
+        import scipy
+
+        stem = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy", "_core")
+        path = next((stem + suffix for suffix in EXTENSION_SUFFIXES if os.path.isfile(stem + suffix)), None)
+        if path is None:
+            raise SolverFailureError(f"HiGHS extension not found: no {stem}{{{','.join(EXTENSION_SUFFIXES)}}}")
+        loader = ExtensionFileLoader(_HIGHS_MODULE, path)
+        core = module_from_spec(spec_from_loader(_HIGHS_MODULE, loader))
+        loader.exec_module(core)
+        sys.modules[_HIGHS_MODULE] = core
+    missing = [name for name in ("_Highs", "HighsLp", "HighsStatus", "HighsModelStatus", "MatrixFormat")
+               if not hasattr(core, name)]
+    if missing or not hasattr(core._Highs, "addRows"):
+        raise SolverFailureError(f"{core.__file__} lacks {missing or ['_Highs.addRows']}")
+    return core
+
+
+def _row_bounds(problem: LpProblem, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """HiGHS row bounds lower <= a x <= upper of rows ``first:``."""
+    senses, rhs = problem.senses[first:], problem.rhs[first:]
+    return np.where(senses == -1, -np.inf, rhs), np.where(senses == 1, np.inf, rhs)
+
+
+class HighsModel:
+    """One HiGHS instance across the solves of an LP that grows by rows.
+
+    Each solve passes HiGHS only the rows past those it holds
+    (``addRows``), and HiGHS re-optimizes from its last basis.  So the
+    rows it holds must stay the first rows of every problem solved in it,
+    with the same columns.
+    """
+
+    def __init__(self):
+        self.core = highs_core()
+        self.highs = self.core._Highs()
+
+    def load(self, problem: LpProblem) -> None:
+        h = self.highs
+        held = h.getNumRow()
+        if h.getNumCol() == 0:
+            lp = self.core.HighsLp()
+            lp.num_col_ = lp.a_matrix_.num_col_ = problem.num_vars
+            lp.num_row_ = lp.a_matrix_.num_row_ = problem.num_rows
+            lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.obj, problem.lb, problem.ub
+            lp.row_lower_, lp.row_upper_ = _row_bounds(problem)
+            A = problem.A.tocsc()
+            lp.a_matrix_.format_ = self.core.MatrixFormat.kColwise
+            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+            status = h.passModel(lp)
+        elif problem.num_vars != h.getNumCol() or problem.num_rows < held:
+            raise InvalidParameterError("the problem does not extend the LP HiGHS holds")
+        elif problem.num_rows > held:
+            new = problem.A[held:].tocsr()
+            lower, upper = _row_bounds(problem, held)
+            status = h.addRows(len(lower), lower, upper, new.nnz, new.indptr, new.indices, new.data)
+        else:
+            return
+        if status == self.core.HighsStatus.kError:
+            raise SolverFailureError(f"HiGHS rejected the LP {problem.name}")
+
+
+def _solve_highs(problem: LpProblem, config: SolverConfig, model: HighsModel, t0: float) -> SolverResult:
+    """Dual simplex of scipy's bundled HiGHS on one thread, silent."""
+    core, h = model.core, model.highs
+    for name, value in (
+        ("output_flag", False),
+        ("solver", "simplex"),  # the only HiGHS solver that restarts from a basis
+        ("threads", 1),
+        ("primal_feasibility_tolerance", config.tol),
+        ("dual_feasibility_tolerance", config.tol),
+        ("simplex_iteration_limit", min(config.max_iterations, 2**31 - 1)),
+    ):
+        if h.setOptionValue(name, value) == core.HighsStatus.kError:  # say, a tolerance below 1e-10
+            raise InvalidParameterError(f"HiGHS rejected option {name}={value!r}")
+    model.load(problem)
+    if h.run() == core.HighsStatus.kError:
+        # a scheduler another caller (say linprog) started with more threads
+        # makes HiGHS refuse threads=1 until that scheduler is reset
+        core._Highs.resetGlobalScheduler(True)
+        if h.run() == core.HighsStatus.kError:
+            raise SolverFailureError(f"HiGHS failed: {h.modelStatusToString(h.getModelStatus())}")
+    code = h.getModelStatus()
+    known = {
+        core.HighsModelStatus.kOptimal: "optimal",
+        core.HighsModelStatus.kInfeasible: "infeasible",
+        core.HighsModelStatus.kUnbounded: "unbounded",
+        core.HighsModelStatus.kIterationLimit: "iteration-limit",
+    }
+    status = known.get(code) or h.modelStatusToString(code)
     sol = None
     if status == "optimal":
-        sol = FractionalSolution(problem.var_ids, res.x, float(res.fun) + problem.offset, "optimal")
-    return SolverResult(status, sol, int(res.nit), time.perf_counter() - t0)
+        x = np.asarray(h.getSolution().col_value)
+        sol = FractionalSolution(problem.var_ids, x, float(problem.obj @ x) + problem.offset, "optimal")
+    return SolverResult(status, sol, int(h.getInfo().simplex_iteration_count), time.perf_counter() - t0)
 
 
 def solve(
@@ -633,58 +631,51 @@ def solve(
     config: SolverConfig | None = None,
     *,
     start_values: np.ndarray | None = None,
-    basis: SimplexBasis | None = None,
+    model: HighsModel | None = None,
 ) -> SolverResult:
-    """Minimize the problem to optimality.
+    """Minimize the problem to optimality with ``config.engine``.
 
-    ``start_values`` (length num_vars) seeds the initial nonbasic bound
-    statuses — useful when a near-optimal vertex is known (each value snaps
-    to its nearer bound; the slack basis stays feasible for any snap when
-    b = 0 problems start at a partition's induced point).
+    ``start_values`` (length num_vars; in-repo simplex only) seeds the
+    initial nonbasic bound statuses — useful when a near-optimal vertex is
+    known (each value snaps to its nearer bound; the slack basis stays
+    feasible for any snap when b = 0 problems start at a partition's
+    induced point).
 
-    ``basis`` starts from that basis instead (``start_values`` must then
-    be None): dual iterations until the point is primal feasible, then the
-    primal phase.  The scipy engine ignores both.
+    ``model`` (HiGHS only) is the instance to solve in: given the one an
+    earlier solve used, HiGHS adds the rows ``problem`` has past it and
+    re-optimizes from its last basis.  Without it, a new instance.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     if config.engine == "scipy":
-        return _solve_scipy(problem, config, t0)
-    if basis is not None and start_values is not None:
-        raise InvalidParameterError("give a starting basis or start values, not both")
-    ws = _Workspace(problem, config, start_values, basis)
+        return _solve_highs(problem, config, model or HighsModel(), t0)
+    ws = _Workspace(problem, config, start_values)
     ws.refactor()
     phase1_iters = 0
 
     def result(status: str, sol: FractionalSolution | None = None) -> SolverResult:
         return SolverResult(status, sol, ws.iterations, time.perf_counter() - t0, ws.total_pivots,
-                            ws.total_flips, phase1_iters, ws.dual_iterations,
-                            ws.export_basis() if sol is not None else None, ws.refactors)
+                            ws.total_flips, phase1_iters, ws.refactors)
 
-    if basis is not None:
-        status = _dual_phase(ws)
-        if status != "feasible":
+    feas = config.tol
+    violated = (ws.xB < ws.lb[ws.basic] - feas) | (ws.xB > ws.ub[ws.basic] + feas)
+    if violated.any():
+        status = _phase1(ws, violated)
+        phase1_iters = ws.iterations
+        if status != "optimal":
+            if status == "unbounded":
+                raise SolverFailureError("phase 1 unbounded: inconsistent standard form")
             return result(status)
-    else:
-        feas = config.tol
-        violated = (ws.xB < ws.lb[ws.basic] - feas) | (ws.xB > ws.ub[ws.basic] + feas)
-        if violated.any():
-            status = _phase1(ws, violated)
-            phase1_iters = ws.iterations
-            if status != "optimal":
-                if status == "unbounded":
-                    raise SolverFailureError("phase 1 unbounded: inconsistent standard form")
-                return result(status)
-            art_cost = np.zeros(ws.N)
-            art_cost[ws.n + ws.m :] = 1.0
-            if float(art_cost[ws.basic] @ ws.xB) > 1e-6:
-                return result("infeasible")
-            # freeze artificials at zero for phase 2
-            ws.lb[ws.n + ws.m :] = 0.0
-            ws.ub[ws.n + ws.m :] = 0.0
-            ws.bounds_changed()
-            ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
-            ws.devex[:] = 1.0  # fresh reference framework for phase 2
+        art_cost = np.zeros(ws.N)
+        art_cost[ws.n + ws.m :] = 1.0
+        if float(art_cost[ws.basic] @ ws.xB) > 1e-6:
+            return result("infeasible")
+        # freeze artificials at zero for phase 2
+        ws.lb[ws.n + ws.m :] = 0.0
+        ws.ub[ws.n + ws.m :] = 0.0
+        ws.bounds_changed()
+        ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
+        ws.devex[:] = 1.0  # fresh reference framework for phase 2
 
     status = ws.run_phase(ws.c)
     if status != "optimal":
@@ -692,31 +683,6 @@ def solve(
     x = ws.full_values()[: problem.num_vars]
     obj = float(problem.obj @ x) + problem.offset
     return result("optimal", FractionalSolution(problem.var_ids, x, obj, "optimal"))
-
-
-def _dual_phase(ws: _Workspace) -> str:
-    """Dual simplex iterations from the current basis until the point is
-    primal feasible; returns 'feasible', 'infeasible' or 'iteration-limit'.
-
-    Reduced costs of the wrong sign beyond tol are zeroed by shifting
-    their costs; the primal phase that follows uses the true costs.
-    """
-    d = ws.reduced_costs(ws.c)
-    wrong = ws.free & (((ws.vstat == AT_LOWER) & (d < -ws.cfg.tol))
-                       | ((ws.vstat == AT_UPPER) & (d > ws.cfg.tol)))
-    cost = ws.c.copy()
-    cost[wrong] -= d[wrong]
-    # only nonbasic costs moved, so the duals and the other reduced costs stay
-    d[wrong] = 0.0
-    ws.d = d
-    while True:
-        if ws.iterations >= ws.cfg.max_iterations:
-            return "iteration-limit"
-        outcome = ws.dual_step(cost)
-        if outcome != "step":
-            return outcome
-        ws.iterations += 1
-        ws.dual_iterations += 1
 
 
 def _phase1(ws: _Workspace, violated: np.ndarray) -> str:

@@ -62,8 +62,8 @@ class TestSolve:
     def test_infeasible_lp_point_exits_3(self, monkeypatch, capsys):
         real_solve = pipeline.solve
 
-        def perturbed(problem, config, start_values=None, basis=None):
-            result = real_solve(problem, config, start_values=start_values, basis=basis)
+        def perturbed(problem, config, **kwargs):
+            result = real_solve(problem, config, **kwargs)
             result.solution.values[0] = problem.ub[0] + 1e-4  # just past its bound
             return result
 
@@ -77,8 +77,8 @@ class TestSolve:
         # stop on a point that violates a triangle row they never added
         real_solve = pipeline.solve
 
-        def perturbed(problem, config, start_values=None, basis=None):
-            result = real_solve(problem, config, start_values=start_values, basis=basis)
+        def perturbed(problem, config, **kwargs):
+            result = real_solve(problem, config, **kwargs)
             result.solution.values[problem.index_of(VarId.pair_var(2, 3))] += 5e-4
             return result
 
@@ -253,6 +253,7 @@ BAD_VALUES = {
     "round-seed": (["round", "--solution", "x.json", "--n", "3", "--k", "2", "--seed", "-1"], "got -1"),
     "unknown-generator-arg": (["solve", "--generator", "fig2b", "--generator-arg", "foo=1", "--weights", "fig2"], "'foo'"),
     "unknown-generate-arg": (["generate", "--name", "fig2a", "--generator-arg", "n=4"], "'n'"),
+    "tol-below-highs-range": (["solve", *FIG2A_CC, "--tol", "1e-12"], "primal_feasibility_tolerance=1e-12"),
 }
 
 
@@ -263,6 +264,13 @@ class TestBadValuesExit2:
         argv, named = BAD_VALUES[case]
         assert main(argv) == EXIT_CONFIG
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--engine", "scipy"], ["--no-warm-start"]])
+    def test_removed_solver_flags_exit_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", *FIG2A_CC, *flag])
+        assert exc.value.code == EXIT_CONFIG
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestExactCommand:

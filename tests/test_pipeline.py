@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from motifcc import pipeline, simplex
-from motifcc.cli import EXIT_SOLVER, main
+from motifcc.cli import EXIT_CONFIG, EXIT_SOLVER, main
 from motifcc.errors import InvalidParameterError, SolverFailureError, StageError
 from motifcc.generators import make_fig2a, make_fixture
 from motifcc.graph import DirectedGraph, Partition, write_edge_list
@@ -291,25 +291,53 @@ class TestRun:
         assert err.value.stage == "weights"
 
     def test_cold_start_same_answer(self):
-        warm = run(RunConfig.from_dict(FIG2A))
-        cold = run(RunConfig.from_dict({**FIG2A, "warm_start": False}))
-        assert warm.lp_value == pytest.approx(cold.lp_value, abs=1e-7)
-        assert warm.clusters == cold.clusters
+        # LP1 is the relaxation solved from the greedy warm start
+        graph = make_fig2a().graph
+        mixed = resolve_weights(RunConfig(weights="fig2"), graph)
+        core = pipeline.build_relaxation("LP1", mixed, graph.n)
+        start = induced_point(greedy_partition(mixed, graph.n), core).values
+        cfg = simplex.SolverConfig()
+        warm = pipeline.solve_relaxation(core, cfg, start).solution
+        cold = pipeline.solve_relaxation(core, cfg, None).solution
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)
+        assert warm.values == pytest.approx(cold.values, abs=1e-7)
 
     def test_scipy_engine_parity(self):
-        ours = run(RunConfig.from_dict(FIG2A))
-        ref = run(RunConfig.from_dict({**FIG2A, "engine": "scipy"}))
-        assert ours.lp_value == pytest.approx(ref.lp_value, abs=1e-6)
-        assert ref.solver["engine"] == "scipy"
-        # the scipy engine takes no starting point, so none is computed or reported
-        assert ours.solver["warm_start"] is True and "warm_start" in ours.timings
-        assert ref.solver["warm_start"] is False and "warm_start" not in ref.timings
+        # the pipeline solves LP2 on HiGHS; the in-repo simplex solves the
+        # fully materialized LP2 of the same instance
+        report = run(RunConfig.from_dict(FIG2A))
+        assert report.solver["engine"] == "scipy"
+        graph = make_fig2a().graph
+        full = build_lp2(resolve_weights(RunConfig(weights="fig2"), graph).layers[0].weights, graph.n)
+        ours = simplex.solve(full, simplex.SolverConfig(engine="simplex"))
+        assert report.lp_value == pytest.approx(ours.solution.objective_value, rel=1e-9)
 
     def test_every_stage_timed(self):
-        report = run(RunConfig.from_dict(FIG2A))
-        stages = {"load", "weights", "build", "warm_start", "solve", "round", "certify", "breakdown"}
-        assert stages <= set(report.timings)
-        assert all(report.timings[s] >= 0.0 for s in stages)
+        stages = {"load", "weights", "build", "solve", "round", "certify", "breakdown"}
+        lp2 = run(RunConfig.from_dict(FIG2A))
+        lp1 = run(RunConfig.from_dict({**FIG2A, "relaxation": "LP1"}))
+        assert stages <= set(lp2.timings) and "warm_start" not in lp2.timings
+        assert stages | {"warm_start"} <= set(lp1.timings)
+        assert all(t >= 0.0 for t in [*lp2.timings.values(), *lp1.timings.values()])
+
+    def test_engine_follows_the_relaxation(self):
+        fig2b = {"generator": "fig2b", "generator_args": {"n": 10}, "weights": "fig2"}
+        lp2 = run(RunConfig.from_dict(fig2b))
+        lp1 = run(RunConfig.from_dict({**fig2b, "relaxation": "LP1"}))
+        assert lp2.solver["engine"] == "scipy" and lp1.solver["engine"] == "simplex"
+        # HiGHS has no pivot, flip or LU counters of ours to report
+        assert lp2.solver["pivots"] == lp2.solver["bound_flips"] == lp2.solver["refactors"] == 0
+        assert lp2.solver["iterations"] == sum(lp2.solver["round_iterations"]) > 0
+        assert lp1.solver["iterations"] == lp1.solver["pivots"] + lp1.solver["bound_flips"] > 0
+
+    @pytest.mark.parametrize("key,value", [("engine", "simplex"), ("warm_start", False)])
+    def test_removed_keys_are_unknown(self, key, value, tmp_path, capsys):
+        with pytest.raises(InvalidParameterError, match=f"unknown config keys: \\['{key}'\\]"):
+            RunConfig.from_dict({**FIG2A, key: value})
+        spec = tmp_path / "runs.json"
+        spec.write_text(json.dumps({"runs": [{**FIG2A, key: value}]}))
+        assert main(["compare", "--config", str(spec)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
 
     def test_lp_point_checked_before_rounding(self):
         report = run(RunConfig.from_dict(FIG2A))
@@ -339,16 +367,15 @@ def planted_edges(path, n=12, blocks=3, seed=12):
 
 
 class TestTriangleRounds:
-    @pytest.mark.parametrize("engine", ["simplex", "scipy"])
     @pytest.mark.parametrize("case", ["fig2b-lp2", "planted12-mmcc"])
-    def test_same_answer_as_the_full_lp(self, case, engine, monkeypatch, tmp_path):
+    def test_same_answer_as_the_full_lp(self, case, monkeypatch, tmp_path):
         if case == "fig2b-lp2":
             cfg = {"generator": "fig2b", "generator_args": {"n": 10}, "weights": "fig2", "relaxation": "LP2"}
         else:
             cfg = {"input": planted_edges(tmp_path / "planted.txt"), "undirected": True, "method": "MMCC"}
-        lazy = run(RunConfig.from_dict({**cfg, "engine": engine}))
+        lazy = run(RunConfig.from_dict(cfg))
         monkeypatch.setattr(pipeline, "build_relaxation", full_relaxation)
-        full = run(RunConfig.from_dict({**cfg, "engine": engine}))
+        full = run(RunConfig.from_dict(cfg))
         assert full.solver["row_rounds"] == 1
         assert lazy.solver["rows_in_lp"] < full.solver["rows_in_lp"]
         assert lazy.lp_value == pytest.approx(full.lp_value, rel=1e-9, abs=1e-9)
@@ -379,19 +406,33 @@ class TestTriangleRounds:
             return splu(sub)
 
         monkeypatch.setattr(simplex, "splu", counted_splu)
-        report = run(RunConfig(generator="karate", weights="table1", method="CC"))
-        assert report.solver["row_rounds"] >= 2
-        assert report.solver["refactors"] == len(calls) > 0
+        lp1 = run(RunConfig(generator="fig2b", generator_args={"n": 10}, method="MCC", relaxation="LP1"))
+        assert lp1.solver["refactors"] == len(calls) > 0
+        # karate CC runs on HiGHS, which factorizes nothing through splu
+        calls.clear()
+        cc = run(RunConfig(generator="karate", weights="table1", method="CC"))
+        assert cc.solver["row_rounds"] >= 2
+        assert cc.solver["refactors"] == len(calls) == 0
 
     @pytest.mark.parametrize("failure", ["status", "exception"])
     def test_failed_reentry_names_the_round(self, failure, monkeypatch):
-        def dual_step(ws, cost):
-            if failure == "status":
-                return "infeasible"
-            raise SolverFailureError("numerically singular pivot column")
+        # round 2 re-enters HiGHS from round 1's basis after addRows
+        real_load, real_bounds = simplex.HighsModel.load, simplex._row_bounds
+        loads = []
 
-        monkeypatch.setattr(simplex._Workspace, "dual_step", dual_step)
-        message = "status infeasible in round 2" if failure == "status" else "column in round 2"
+        def load(model, problem):
+            loads.append(problem.num_rows)
+            real_load(model, problem)
+            if failure == "status" and len(loads) == 2:
+                model.highs.setOptionValue("simplex_iteration_limit", 0)
+
+        def bounds(problem, first=0):
+            lower, upper = real_bounds(problem, first)
+            return (lower, np.full_like(upper, np.nan)) if len(loads) == 2 and failure == "exception" else (lower, upper)
+
+        monkeypatch.setattr(simplex.HighsModel, "load", load)
+        monkeypatch.setattr(simplex, "_row_bounds", bounds)
+        message = "status iteration-limit in round 2" if failure == "status" else "rejected the LP .* in round 2"
         with pytest.raises(SolverFailureError, match=message):
             run(RunConfig(generator="fig2b", generator_args={"n": 10}, method="CC"))
 
@@ -404,9 +445,9 @@ class TestTriangleRounds:
         real_solve = pipeline.solve
         calls = []
 
-        def fails_second(problem, config, start_values=None, basis=None):
+        def fails_second(problem, config, **kwargs):
             calls.append(problem.num_rows)
-            result = real_solve(problem, config, start_values=start_values, basis=basis)
+            result = real_solve(problem, config, **kwargs)
             if len(calls) == 2:
                 result.status = "iteration-limit"
             return result
@@ -436,10 +477,8 @@ def random_stack(data) -> tuple[MixedWeights, int]:
     return MixedWeights(layers), n
 
 
-def pipeline_solve(mixed: MixedWeights, n: int, engine: str = "simplex") -> pipeline.RelaxationSolve:
-    core = build_lp3_core(mixed, n)
-    start = induced_point(greedy_partition(mixed, n), core).values if engine == "simplex" else None
-    return pipeline.solve_relaxation(core, simplex.SolverConfig(engine=engine), start)
+def pipeline_solve(mixed: MixedWeights, n: int) -> pipeline.RelaxationSolve:
+    return pipeline.solve_relaxation(build_lp3_core(mixed, n), simplex.SolverConfig(engine="scipy"), None)
 
 
 class TestZeroCostTuples:
@@ -447,8 +486,7 @@ class TestZeroCostTuples:
     @given(data=st.data())
     def test_lifted_optimum_is_the_full_lp_optimum(self, data):
         mixed, n = random_stack(data)
-        engine = data.draw(st.sampled_from(["simplex", "scipy"]), label="engine")
-        relaxed = pipeline_solve(mixed, n, engine)
+        relaxed = pipeline_solve(mixed, n)
         full = build_lp3(mixed, n)
         ref = simplex.solve(full, simplex.SolverConfig(engine="scipy"))
         assert ref.status == "optimal"
@@ -541,3 +579,61 @@ class TestBaselineReport:
         assert e.cost == pytest.approx(18.0)
         with pytest.raises(InvalidParameterError):
             baseline_report("hybrid", g, mixed)
+
+
+def planted_ladder_edges(path, n):
+    """The planted-partition graph of size n on the benchmark's planted-mmcc
+    ladder (perfbench/workloads.py): four shuffled blocks, p_in 0.7,
+    p_out 0.1, drawn from the seed [0, n]."""
+    rng = np.random.default_rng([0, n])
+    block = np.arange(n) % 4
+    rng.shuffle(block)
+    draws = rng.random((n, n))
+    path.write_text(
+        "".join(
+            f"{u + 1}\t{v + 1}\n"
+            for u in range(n)
+            for v in range(u + 1, n)
+            if draws[u, v] < (0.7 if block[u] == block[v] else 0.1)
+        )
+    )
+    return str(path)
+
+
+def linprog_value(problem) -> float:
+    """Interior-point HiGHS through ``linprog`` on ``problem`` as given."""
+    from scipy.optimize import linprog
+
+    le, ge, eq = (problem.senses == -1), (problem.senses == 1), (problem.senses == 0)
+    ub_rows = le | ge
+    sign = np.where(ge, -1.0, 1.0)[ub_rows]
+    res = linprog(
+        problem.obj,
+        A_ub=problem.A[ub_rows].multiply(sign[:, None]).tocsr(),
+        b_ub=sign * problem.rhs[ub_rows],
+        A_eq=problem.A[eq] if eq.any() else None,
+        b_eq=problem.rhs[eq] if eq.any() else None,
+        bounds=np.column_stack([problem.lb, problem.ub]),
+        method="highs-ipm",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun) + problem.offset
+
+
+class TestFullLpCrossCheck:
+    """The row-generated LP value against an interior-point solve of the
+    fully materialized ``build_lp3``: a different algorithm on a different
+    LP, so a shared solver defect cannot hide."""
+
+    @pytest.mark.parametrize("case", ["karate-CC", "karate-MMCC", "planted16", "planted20", "planted22"])
+    def test_lp_value_matches_the_full_lp(self, case, tmp_path):
+        if case.startswith("karate"):
+            cfg = RunConfig(generator="karate", method=case.split("-")[1])
+        else:
+            cfg = RunConfig(input=planted_ladder_edges(tmp_path / "planted.txt", int(case[7:])),
+                            undirected=True, method="MMCC")
+        report = run(cfg)
+        assert report.solver["engine"] == "scipy"
+        graph, _ = load_instance(cfg)
+        full = build_lp3(resolve_weights(cfg, graph), graph.n)
+        assert report.lp_value == pytest.approx(linprog_value(full), rel=1e-7)

@@ -1,4 +1,4 @@
-"""Solver correctness: random cross-validation against scipy, phases,
+"""Solver correctness: random cross-validation against HiGHS, phases,
 warm starts, determinism, and the feasibility checker."""
 
 import numpy as np
@@ -94,7 +94,7 @@ def random_problem(rng, n_vars=6, n_rows=8):
 
 class TestAgainstScipy:
     def test_random_sweep(self):
-        """Same status and optimal value as linprog(highs) on 60 random LPs."""
+        """Same status and optimal value as HiGHS on 60 random LPs."""
         agree_optimal = 0
         for seed in range(60):
             rng = np.random.default_rng(seed)
@@ -465,118 +465,3 @@ class TestInternals:
         first = seen[0]
         assert all(all(a is b for a, b in zip(arrays, first)) for arrays in seen)
 
-
-def insert_rows(base, rng, x, n_new):
-    """``base`` with ``n_new`` random rows inserted at random positions,
-    each cutting ``x`` off by a random margin (a ``=`` row fixes its
-    activity away from x's); returns the LP and each old row's new index."""
-    n = base.num_vars
-    A_add = sp.random(n_new, n, density=0.5, random_state=rng, format="csr")
-    A_add.data = np.round(rng.normal(size=A_add.nnz), 3)
-    senses = rng.choice(np.array([-1, 0, 1], dtype=np.int8), size=n_new)
-    margin = np.round(rng.uniform(0.01, 0.5, size=n_new), 3)
-    # <= rows end below A x, >= rows above it
-    rhs = A_add @ x - np.where(senses == 1, -margin, margin)
-    m_new = base.num_rows + n_new
-    old_pos = np.sort(rng.choice(m_new, size=base.num_rows, replace=False))
-    order = np.empty(m_new, dtype=np.int64)  # order[new row] = row of the stacked matrix
-    order[old_pos] = np.arange(base.num_rows)
-    order[np.setdiff1d(np.arange(m_new), old_pos)] = base.num_rows + np.arange(n_new)
-    A = sp.vstack([base.A, A_add], format="csr")[order]
-    names = base.row_names + [f"new{i}" for i in range(n_new)]
-    problem = LpProblem(
-        "grown", base.var_ids, base.obj, base.offset, A,
-        np.concatenate([base.senses, senses])[order], np.concatenate([base.rhs, rhs])[order],
-        [names[i] for i in order], lb=base.lb, ub=base.ub,
-    )
-    return problem, old_pos
-
-
-class TestReentry:
-    def test_reentry_matches_cold_solve(self):
-        """Seeded random LPs: after rows are added, re-entering from the
-        previous optimal basis reaches a cold solve's status and optimum."""
-        optimal = infeasible = dual = 0
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            base = random_problem(rng, n_vars=8, n_rows=6)
-            first = solve(base)
-            if first.status != "optimal":
-                continue
-            grown, old_pos = insert_rows(base, rng, first.solution.values, int(rng.integers(1, 5)))
-            cold = solve(grown)
-            warm = solve(grown, basis=first.basis.with_rows(old_pos, grown.num_rows))
-            assert warm.status == cold.status, f"seed {seed}"
-            assert warm.phase1_iterations == 0
-            # the start is dual feasible, so dual iterations alone re-optimize it
-            assert warm.iterations == warm.dual_iterations, f"seed {seed}"
-            dual += warm.dual_iterations > 0
-            if cold.status == "optimal":
-                optimal += 1
-                assert warm.solution.objective_value == pytest.approx(
-                    cold.solution.objective_value, abs=1e-9
-                ), f"seed {seed}"
-                assert verify_solution(grown, warm.solution, tol=1e-7).ok
-            else:
-                infeasible += cold.status == "infeasible"
-        # the sweep must exercise re-optimized optima and infeasible re-entries
-        assert optimal >= 15 and infeasible >= 3 and dual >= 15
-
-    def test_dual_infeasible_start_matches_cold_solve(self):
-        """From the slack basis with random structural statuses, reduced
-        costs of the wrong sign are shifted away for the dual phase and the
-        primal phase still ends at a cold solve's optimum."""
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            problem = random_problem(rng, n_vars=8, n_rows=6)
-            n, m = problem.num_vars, problem.num_rows
-            vstat = np.concatenate([rng.integers(0, 2, size=n), np.full(m, simplex.BASIC)])
-            start = simplex.SimplexBasis(np.arange(n, n + m), vstat.astype(np.int8))
-            cold, warm = solve(problem), solve(problem, basis=start)
-            assert warm.status == cold.status, f"seed {seed}"
-            if cold.status == "optimal":
-                assert warm.solution.objective_value == pytest.approx(
-                    cold.solution.objective_value, abs=1e-9
-                ), f"seed {seed}"
-
-    def test_basic_artificial_exported_as_its_slack(self):
-        # the repeated equality row keeps one phase-1 artificial basic at zero
-        rows = [
-            LinearConstraint("e1", [(v("a"), 1.0), (v("b"), 1.0)], "=", 1.0),
-            LinearConstraint("e2", [(v("a"), 2.0), (v("b"), 2.0)], "=", 2.0),
-            LinearConstraint("c", [(v("a"), 1.0), (v("c"), 1.0)], ">=", 0.5),
-        ]
-        problem = make_problem("redundant", rows, {v("a"): 1.0, v("b"): 2.0, v("c"): 0.5})
-        first = solve(problem)
-        assert first.phase1_iterations > 0
-        assert first.basis.basic.max() < problem.num_vars + problem.num_rows
-        again = solve(problem, basis=first.basis)
-        assert (again.status, again.iterations) == ("optimal", 0)
-        assert again.solution.objective_value == first.solution.objective_value
-
-    def test_basis_maps_rows_and_slacks(self):
-        basis = simplex.SimplexBasis(
-            np.array([3, 0]), np.array([simplex.BASIC, simplex.AT_UPPER, simplex.AT_LOWER, simplex.BASIC])
-        )  # 2 columns, 2 rows: x0 and the slack of row 1 basic
-        grown = basis.with_rows(np.array([0, 2]), 3)
-        # row 1 of the old LP is row 2 now; the new row 1 enters with its slack basic
-        assert grown.basic.tolist() == [4, 0, 3]
-        assert grown.vstat.tolist() == [
-            simplex.BASIC, simplex.AT_UPPER, simplex.AT_LOWER, simplex.BASIC, simplex.BASIC
-        ]
-
-    def test_optimal_start_takes_no_iteration(self, two_triangle_graph):
-        lp = build_lp2(build_table1_weights("MCC", two_triangle_graph).layers[0].weights, 6)
-        first = solve(lp)
-        again = solve(lp, basis=first.basis)
-        assert (again.status, again.iterations) == ("optimal", 0)
-        assert again.solution.values.tobytes() == first.solution.values.tobytes()
-
-    def test_bad_basis_rejected(self, two_triangle_graph):
-        lp = build_lp2(build_table1_weights("MCC", two_triangle_graph).layers[0].weights, 6)
-        basis = solve(lp).basis
-        short = simplex.SimplexBasis(basis.basic[:-1], basis.vstat)
-        with pytest.raises(InvalidParameterError, match="does not fit"):
-            solve(lp, basis=short)
-        with pytest.raises(InvalidParameterError, match="not both"):
-            solve(lp, basis=basis, start_values=np.zeros(lp.num_vars))
