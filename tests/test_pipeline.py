@@ -1,5 +1,6 @@
 """End-to-end pipeline: configs, staged runs, reports, comparisons."""
 
+import dataclasses
 import itertools
 import json
 
@@ -367,14 +368,22 @@ def planted_edges(path, n=12, blocks=3, seed=12):
 
 
 class TestTriangleRounds:
+    @pytest.mark.parametrize("engine", ["simplex", "scipy"])
     @pytest.mark.parametrize("case", ["fig2b-lp2", "planted12-mmcc"])
-    def test_same_answer_as_the_full_lp(self, case, monkeypatch, tmp_path):
+    def test_same_answer_as_the_full_lp(self, case, engine, monkeypatch, tmp_path):
+        """Row generation on HiGHS against the fully built LP solved by ``engine``."""
         if case == "fig2b-lp2":
             cfg = {"generator": "fig2b", "generator_args": {"n": 10}, "weights": "fig2", "relaxation": "LP2"}
         else:
             cfg = {"input": planted_edges(tmp_path / "planted.txt"), "undirected": True, "method": "MMCC"}
         lazy = run(RunConfig.from_dict(cfg))
+        solve_relaxation = pipeline.solve_relaxation
         monkeypatch.setattr(pipeline, "build_relaxation", full_relaxation)
+        monkeypatch.setattr(
+            pipeline,
+            "solve_relaxation",
+            lambda problem, config, start: solve_relaxation(problem, dataclasses.replace(config, engine=engine), start),
+        )
         full = run(RunConfig.from_dict(cfg))
         assert full.solver["row_rounds"] == 1
         assert lazy.solver["rows_in_lp"] < full.solver["rows_in_lp"]
