@@ -27,10 +27,10 @@ from .errors import (
     InvalidParameterError,
     MotifccError,
     SolverFailureError,
+    as_number,
 )
-from .exact import exact_min_disagree, maxagree_2approx
+from .exact import exact_min_disagree
 from .generators import GENERATORS, make_fixture
-from .graph import Partition
 from .lpmodel import LpProblem, FractionalSolution
 from .pipeline import (
     RunConfig,
@@ -158,20 +158,13 @@ def _cmd_round(args) -> int:
     check_seed(args.seed)
     with open(args.solution, encoding="utf-8") as fh:
         sol = FractionalSolution.from_json_dict(json.load(fh))
+    alg1 = args.algorithm == "alg1"
     if args.alpha is None:
-        mode = "mcc-lp1" if args.algorithm == "alg1" else "mcc-lp2"
-        rec = recommended_params(args.k, mode)
-        params = rec.params
+        params = recommended_params(args.k, "mcc-lp1" if alg1 else "mcc-lp2").params
     else:
         params = RoundingParams(args.alpha, args.beta)
-    if args.algorithm == "alg1":
-        partition, trace = round_alg1(
-            sol, args.n, args.k, params, pivot_rule=args.pivot_rule, seed=args.seed
-        )
-    else:
-        partition, trace = round_alg2(
-            sol, args.n, args.k, params, pivot_rule=args.pivot_rule, seed=args.seed
-        )
+    rounder = round_alg1 if alg1 else round_alg2
+    partition, trace = rounder(sol, args.n, args.k, params, pivot_rule=args.pivot_rule, seed=args.seed)
     if args.trace:
         trace.write_jsonl(args.trace)
     _emit(
@@ -249,9 +242,14 @@ def _cmd_generate(args) -> int:
 def _cmd_compare(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise InvalidParameterError(f"compare config must be a JSON object, got {type(spec).__name__}")
     runs = spec.get("runs")
     if not isinstance(runs, list) or not runs:
         raise MotifccError("compare config needs a non-empty 'runs' list")
+    for i, r in enumerate(runs):
+        if not isinstance(r, dict):
+            raise InvalidParameterError(f"compare config 'runs[{i}]' must be an object, got {r!r}")
     rows = compare(
         [RunConfig.from_dict(r) for r in runs],
         reference=spec.get("reference"),
@@ -270,11 +268,13 @@ def _cmd_verify(args) -> int:
     problem = LpProblem.from_text(args.problem)
     with open(args.solution, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidParameterError(f"solution JSON must be an object, got {type(payload).__name__}")
     if "values" in payload:
         sol = FractionalSolution.from_json_dict(payload)
         values = {v.name: x for v, x in zip(sol.var_ids, sol.values)}
     else:
-        values = {str(k): float(v) for k, v in payload.items()}
+        values = {str(k): as_number(v, f"solution value {k!r}") for k, v in payload.items()}
     report = verify_solution(problem, values, tol=args.tol)
     print(report.summary())
     for v in report.violations[:20]:

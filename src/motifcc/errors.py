@@ -43,3 +43,12 @@ class StageError(MotifccError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+
+
+def as_number(value, what: str, kind=float):
+    """``kind(value)``; a value that is not a number raises
+    InvalidParameterError naming ``what``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must be a number, got {value!r}") from None

@@ -20,6 +20,11 @@ and the tests.  ``drop_zero_cost_tuples`` also takes out of the solved LP
 the tuple columns whose objective coefficient is 0 (w+ = 0.5), whose own
 rows the triangle rows imply, and lifts them back from z afterwards.
 
+Every built row is ``<= 0`` over a fixed pattern of columns, and one
+emitter (``_emit_rows``) writes the rows of all four families from arrays
+of column indices: Upsilon rows, the pair-floor and pair-sum rows of each
+tuple, and triangle rows.
+
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
 comparable with ``evaluate_objective`` on integral partitions.
@@ -31,15 +36,16 @@ census total matches the closed-form constraint counts.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidParameterError, SizeLimitError
+from .errors import InvalidParameterError, SizeLimitError, as_number
 from .graph import KTuple, Partition, canonical_tuple, enumerate_ktuples
 from .motifs import MixedWeights, MotifWeights
 from . import kernels
@@ -175,11 +181,7 @@ class LpProblem:
 
     def to_text(self, fh) -> None:
         """Plain-text dump: objective, one constraint per line, bounds."""
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, "w", encoding="utf-8")
-            close = True
-        try:
+        with _text_file(fh, "w") as fh:
             fh.write(f"# lp {self.name}\n")
             fh.write("minimize\n")
             terms = " ".join(
@@ -194,23 +196,13 @@ class LpProblem:
             for vid, lo, hi in zip(self.var_ids, self.lb, self.ub):
                 fh.write(f"{lo:.17g} <= {vid.name} <= {hi:.17g}\n")
             fh.write("end\n")
-        finally:
-            if close:
-                fh.close()
 
     @classmethod
     def from_text(cls, fh, name: str = "dump") -> "LpProblem":
         """Inverse of ``to_text``.  A malformed line raises
         InvalidParameterError naming its line number."""
-        close = False
-        if isinstance(fh, (str, bytes)):
-            fh = open(fh, encoding="utf-8")
-            close = True
-        try:
+        with _text_file(fh, "r") as fh:
             lines = list(fh)
-        finally:
-            if close:
-                fh.close()
         parsed: dict[str, list] = {"minimize": [], "subject to": [], "bounds": []}
         section = None
         for lineno, raw in enumerate(lines, start=1):
@@ -264,6 +256,13 @@ class LpProblem:
         rhs = np.array([b for _, _, _, b in rows], dtype=float)
         row_names = [rname for rname, _, _, _ in rows]
         return cls(name, var_ids, obj, offset, A, senses, rhs, row_names, lb=lb, ub=ub)
+
+
+def _text_file(fh, mode: str):
+    """``fh`` itself, or the file at path ``fh`` opened in ``mode``."""
+    if isinstance(fh, (str, bytes)):
+        return open(fh, mode, encoding="utf-8")
+    return contextlib.nullcontext(fh)
 
 
 def _dump_terms(tokens: list[str]) -> list[tuple[str, float]]:
@@ -343,49 +342,39 @@ class FractionalSolution:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FractionalSolution":
+        if not isinstance(d, dict):
+            raise InvalidParameterError(f"solution JSON must be an object, got {type(d).__name__}")
         missing = [key for key in ("values", "objective_value", "status") if key not in d]
         if missing:
             raise InvalidParameterError(f"solution JSON lacks {', '.join(missing)}")
-        names = list(d["values"])
+        values = d["values"]
+        if not isinstance(values, dict):
+            raise InvalidParameterError(f"solution JSON 'values' must be an object, got {type(values).__name__}")
         return cls(
-            [VarId.from_name(nm) for nm in names],
-            np.array([d["values"][nm] for nm in names], dtype=float),
-            float(d["objective_value"]),
+            [VarId.from_name(nm) for nm in values],
+            np.array([as_number(x, f"solution value {nm!r}") for nm, x in values.items()], dtype=float),
+            as_number(d["objective_value"], "solution 'objective_value'"),
             str(d["status"]),
         )
 
 
-# --------------------------------------------------------------- row builder
+# --------------------------------------------------------------- row emitter
 
 
-class _RowBuilder:
-    def __init__(self, num_vars: int):
-        self.num_vars = num_vars
-        self.indices: list[int] = []
-        self.data: list[float] = []
-        self.indptr: list[int] = [0]
-        self.senses: list[int] = []
-        self.rhs: list[float] = []
-        self.names: list[str] = []
+def _emit_rows(num_vars: int, groups) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """CSR matrix, senses and rhs of the ``<= 0`` rows of ``groups``.
 
-    def add(self, name: str, cols: Iterable[int], coeffs: Iterable[float], sense: str, rhs: float):
-        self.indices.extend(cols)
-        self.data.extend(coeffs)
-        self.indptr.append(len(self.indices))
-        self.senses.append(_SENSE_CODE[sense])
-        self.rhs.append(rhs)
-        self.names.append(name)
-
-    def build(self) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray, list[str]]:
-        A = sp.csr_matrix(
-            (
-                np.array(self.data, dtype=float),
-                np.array(self.indices, dtype=np.int64),
-                np.array(self.indptr, dtype=np.int64),
-            ),
-            shape=(len(self.rhs), self.num_vars),
-        )
-        return A, np.array(self.senses, dtype=np.int8), np.array(self.rhs, dtype=float), self.names
+    A group is (cols, coeffs, widths): ``cols`` an (m, W) array of column
+    indices, ``coeffs`` the W coefficients and ``widths`` the lengths of
+    the rows (summing to W) that each of its m entries writes over its own
+    columns, in order.  Groups follow one another."""
+    groups = [(np.asarray(c, dtype=np.int64).reshape(-1, len(w)), w, r) for c, w, r in groups]
+    lengths = np.concatenate([[0], *(np.tile(r, len(c)) for c, _, r in groups)]).astype(np.int64)
+    data = np.concatenate([[], *(np.tile(np.asarray(w, dtype=float), len(c)) for c, w, _ in groups)])
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *(c.ravel() for c, _, _ in groups)])
+    m = len(lengths) - 1
+    A = sp.csr_matrix((data, indices, np.cumsum(lengths)), shape=(m, num_vars))
+    return A, np.full(m, _SENSE_CODE["<="], dtype=np.int8), np.zeros(m)
 
 
 def count_upsilon(n: int, k: int) -> int:
@@ -431,9 +420,8 @@ def build_lp1(
     wplus = weights.tuple_table().wplus
     obj = 2.0 * wplus - 1.0
     offset = float((1.0 - wplus).sum())
-    rows = _RowBuilder(len(var_ids))
     tsets = [frozenset(t) for t in tuples]
-    count = 0
+    triples = []  # (x_K3, x_K1, x_K2) columns per Upsilon row
     for i in range(len(tuples)):
         si = tsets[i]
         for j in range(i + 1, len(tuples)):
@@ -443,37 +431,36 @@ def build_lp1(
             for k3 in combinations(union, k):
                 if k3 == tuples[i] or k3 == tuples[j]:
                     continue
-                rows.add(
-                    f"ups{count}",
-                    (col[k3], col[tuples[i]], col[tuples[j]]),
-                    (1.0, -1.0, -1.0),
-                    "<=",
-                    0.0,
-                )
-                count += 1
-    A, senses, rhs, names = rows.build()
+                triples.append((col[k3], i, j))
+    A, senses, rhs = _emit_rows(len(var_ids), [(triples, (1.0, -1.0, -1.0), (3,))])
+    names = [f"ups{i}" for i in range(len(triples))]
     return LpProblem(
-        f"lp1_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs, names, census={"upsilon": count}
+        f"lp1_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs, names, census={"upsilon": len(triples)}
     )
 
 
-def _emit_pair_rows(
-    rows: _RowBuilder, tuples: list[KTuple], base: int, zcol: dict[KTuple, int], k: int
-) -> None:
-    """Per-tuple families: z_uv <= x_K for each pair, (k-1)x_K <= Σ z_uv;
-    the variable x_K of ``tuples[i]`` is column ``base + i``."""
-    for xj, t in enumerate(tuples, start=base):
-        pair_cols = [zcol[p] for p in combinations(t, 2)]
+def _emit_pair_rows(tuples: np.ndarray, base: int, zc: np.ndarray) -> tuple[tuple, list[str]]:
+    """Row group and row names of the per-tuple families: z_uv <= x_K for
+    each pair uv of K, then (k-1)·x_K <= Σ z_uv.  ``tuples`` is an (m, k)
+    array, the variable x_K of ``tuples[i]`` is column ``base + i`` and
+    ``zc`` maps a vertex pair to its z column."""
+    m, k = tuples.shape
+    ij = list(combinations(range(k), 2))
+    a, b = np.array(ij).T
+    z = zc[tuples[:, a], tuples[:, b]]  # (m, C(k,2))
+    x = np.arange(base, base + m)[:, None]
+    floors = np.stack([z, np.broadcast_to(x, z.shape)], axis=2).reshape(m, -1)
+    group = (
+        np.hstack([floors, x, z]),
+        (1.0, -1.0) * len(ij) + (float(k - 1),) + (-1.0,) * len(ij),
+        (2,) * len(ij) + (len(ij) + 1,),
+    )
+    names = []
+    for t in tuples.tolist():
         tn = "_".join(map(str, t))
-        for p, zj in zip(combinations(t, 2), pair_cols):
-            rows.add(f"pf_{tn}_{p[0]}_{p[1]}", (zj, xj), (1.0, -1.0), "<=", 0.0)
-        rows.add(
-            f"ps_{tn}",
-            (xj, *pair_cols),
-            (float(k - 1), *([-1.0] * len(pair_cols))),
-            "<=",
-            0.0,
-        )
+        names += [f"pf_{tn}_{t[i]}_{t[j]}" for i, j in ij]
+        names.append(f"ps_{tn}")
+    return group, names
 
 
 def all_triangles(n: int) -> np.ndarray:
@@ -485,10 +472,10 @@ def all_triangles(n: int) -> np.ndarray:
     return np.column_stack([np.repeat(abc, 3, axis=0), abc.ravel()])
 
 
-def _pair_column_matrix(problem: LpProblem) -> np.ndarray | None:
+def _pair_column_matrix(var_ids: list[VarId]) -> np.ndarray | None:
     """Symmetric (n+1)x(n+1) matrix of z-column indices (-1 where there is
-    no z variable), or None for an LP without pair variables."""
-    pairs = [(vid.key, j) for j, vid in enumerate(problem.var_ids) if vid.kind == "pair"]
+    no z variable), or None for columns without pair variables."""
+    pairs = [(vid.key, j) for j, vid in enumerate(var_ids) if vid.kind == "pair"]
     if not pairs:
         return None
     n = max(key[1] for key, _ in pairs)
@@ -510,17 +497,14 @@ def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
     m = len(tri)
     if not m:
         return core
-    zc = _pair_column_matrix(core)
+    zc = _pair_column_matrix(core.var_ids)
     if zc is None:
         raise InvalidParameterError(f"LP {core.name} has no pair variables for triangle rows")
     abc, p = tri[:, :3], tri[:, 3]
     others = abc[abc != p[:, None]].reshape(m, 2)
     q, r = others[:, 0], others[:, 1]
     cols = np.column_stack([zc[q, r], zc[p, q], zc[p, r]])
-    block = sp.csr_matrix(
-        (np.tile([1.0, -1.0, -1.0], m), cols.ravel(), np.arange(0, 3 * m + 1, 3)),
-        shape=(m, core.num_vars),
-    )
+    block, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
     names = [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in tri.tolist()]
     census = dict(core.census, triangle_active=core.census.get("triangle_active", 0) + m)
     return LpProblem(
@@ -529,8 +513,8 @@ def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
         core.obj,
         core.offset,
         sp.vstack([core.A, block], format="csr"),
-        np.concatenate([core.senses, np.full(m, _SENSE_CODE["<="], dtype=np.int8)]),
-        np.concatenate([core.rhs, np.zeros(m)]),
+        np.concatenate([core.senses, senses]),
+        np.concatenate([core.rhs, rhs]),
         core.row_names + names,
         census=census,
         lb=core.lb,
@@ -548,7 +532,7 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
     rows with ``A_tri @ x - rhs > tol``.  Work and memory are O(n^2) per
     apex.  An LP without pair variables has no triangle rows to violate.
     """
-    zc = _pair_column_matrix(problem)
+    zc = _pair_column_matrix(problem.var_ids)
     if zc is None:
         return np.empty((0, 4), dtype=np.int64)
     n = zc.shape[0] - 1
@@ -623,7 +607,7 @@ def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
     when no tuple column costs 0, or when the LP has no pair columns: LP1's
     rows tie tuple columns to each other, so the argument does not hold.
     """
-    zc = _pair_column_matrix(core)
+    zc = _pair_column_matrix(core.var_ids)
     drop = np.array([vid.kind == "tuple" for vid in core.var_ids], dtype=bool) & (core.obj == 0.0)
     if zc is None:
         drop[:] = False
@@ -685,15 +669,12 @@ def build_lp3_core(
     pairs = list(enumerate_ktuples(range(1, n + 1), 2))
     var_ids: list[VarId] = []
     base: dict[int, int] = {}  # layer k -> column of its first variable
-    layer_tuples: dict[int, list[KTuple]] = {}
     for layer in mixed:
         if layer.k < 3:
             continue
         base[layer.k] = len(var_ids)
-        layer_tuples[layer.k] = _tuple_list(layer.weights)
-        var_ids.extend(VarId("tuple", t) for t in layer_tuples[layer.k])
+        var_ids.extend(VarId("tuple", t) for t in _tuple_list(layer.weights))
     zbase = len(var_ids)
-    zcol = {p: zbase + j for j, p in enumerate(pairs)}
     var_ids.extend(VarId("pair", p) for p in pairs)
     obj = np.zeros(len(var_ids))
     offset = 0.0
@@ -703,20 +684,24 @@ def build_lp3_core(
         lo = base.get(layer.k, zbase)
         obj[lo : lo + len(wplus)] += layer.lam * (2.0 * wplus - 1.0)
         offset += layer.lam * float((1.0 - wplus).sum())
-    rows = _RowBuilder(len(var_ids))
+    zc = _pair_column_matrix(var_ids)
+    groups, names = [], []
     census: dict[str, int] = {"pair_floor": 0, "pair_sum_cap": 0, "unit_cap": 0}
     for layer in mixed:
         if layer.k < 3:
             continue
-        _emit_pair_rows(rows, layer_tuples[layer.k], base[layer.k], zcol, layer.k)
-        census["pair_floor"] += len(layer_tuples[layer.k]) * math.comb(layer.k, 2)
-        census["pair_sum_cap"] += len(layer_tuples[layer.k])
-        census["unit_cap"] += len(layer_tuples[layer.k])
+        tuples = layer.weights.tuple_table().tuples
+        group, group_names = _emit_pair_rows(tuples, base[layer.k], zc)
+        groups.append(group)
+        names += group_names
+        census["pair_floor"] += len(tuples) * math.comb(layer.k, 2)
+        census["pair_sum_cap"] += len(tuples)
+        census["unit_cap"] += len(tuples)
     census["triangle"] = 3 * math.comb(n, 3)
     if not any(l.k >= 3 for l in mixed):
         census = {"triangle": census["triangle"]}
     census["triangle_active"] = 0
-    A, senses, rhs, names = rows.build()
+    A, senses, rhs = _emit_rows(len(var_ids), groups)
     ks = "-".join(str(l.k) for l in mixed)
     return LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, A, senses, rhs, names, census=census)
 

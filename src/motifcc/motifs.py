@@ -17,7 +17,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidVertexError, UnsupportedMotifSizeError
+from .errors import InvalidParameterError, InvalidVertexError, UnsupportedMotifSizeError, as_number
 from .graph import DirectedGraph, KTuple, canonical_tuple, enumerate_ktuples
 
 
@@ -110,16 +110,20 @@ class WeightRule:
     values: dict
 
     def __post_init__(self):
+        if not isinstance(self.values, dict):
+            raise InvalidParameterError(f"weight rules must map class names to w+, got {self.values!r}")
         norm = {}
         for tag, val in self.values.items():
             key = tag.value if isinstance(tag, MotifClass) else str(tag)
             if isinstance(val, (tuple, list)):
-                lo, hi = float(val[0]), float(val[1])
+                if len(val) != 2:
+                    raise InvalidParameterError(f"rule range for {key} needs [lo, hi], got {val!r}")
+                lo, hi = (as_number(x, f"rule range for {key}") for x in val)
                 if not (0.0 <= lo <= hi <= 1.0):
                     raise InvalidParameterError(f"rule range for {key} outside [0,1]: {val}")
                 norm[key] = (lo, hi)
             else:
-                v = float(val)
+                v = as_number(val, f"rule value for {key}")
                 if not (0.0 <= v <= 1.0):
                     raise InvalidParameterError(f"rule value for {key} outside [0,1]: {val}")
                 norm[key] = v
@@ -170,6 +174,8 @@ class MotifWeights:
         self.graph = graph
         self.rule = rule
         self.seed = int(seed)
+        if self.seed < 0:
+            raise InvalidParameterError(f"weight seed must be a non-negative integer, got {seed!r}")
         self.classifier = classifier
         self.directed = (not graph.is_symmetric) if directed is None else bool(directed)
         self.overrides: dict[KTuple, float] = {}
@@ -249,8 +255,8 @@ class MixedWeights:
                 raise InvalidParameterError(
                     f"layer size {layer.k} disagrees with its weights (k={layer.weights.k})"
                 )
-            if layer.lam < 0:
-                raise InvalidParameterError(f"relevance factor must be >= 0, got {layer.lam}")
+            if not 0 <= layer.lam < math.inf:
+                raise InvalidParameterError(f"relevance factor must be finite and >= 0, got {layer.lam}")
             norm.append(layer)
         if not norm:
             raise InvalidParameterError("at least one motif layer required")
@@ -328,24 +334,32 @@ def directed_cycle_rule(other_weight=0.45, jitter: tuple[float, float] | None = 
 
 
 def _layer_from_config(cfg: dict, graph: DirectedGraph) -> Layer:
-    try:
-        k = int(cfg["k"])
-        rules = cfg["rules"]
-    except KeyError as exc:
-        raise InvalidParameterError(f"weight layer config missing key {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InvalidParameterError(f"weight layer must be an object, got {cfg!r}")
+    missing = [key for key in ("k", "rules") if key not in cfg]
+    if missing:
+        raise InvalidParameterError(f"weight layer config missing key {missing[0]!r}")
+    k = as_number(cfg["k"], "weight layer 'k'", int)
     overrides = {}
+    if cfg.get("directed") not in (None, True, False):
+        raise InvalidParameterError(f"weight layer 'directed' must be a boolean, got {cfg['directed']!r}")
+    if not isinstance(cfg.get("overrides", []), list):
+        raise InvalidParameterError(f"weight layer 'overrides' must be a list, got {cfg['overrides']!r}")
     for entry in cfg.get("overrides", []):
+        if not isinstance(entry, list) or not entry:
+            raise InvalidParameterError(f"override {entry!r} must be [vertex, ..., w+]")
         *verts, wp = entry
-        overrides[canonical_tuple(verts)] = float(wp)
+        verts = [as_number(v, f"override vertex in {entry!r}", int) for v in verts]
+        overrides[canonical_tuple(verts)] = as_number(wp, f"override weight of {verts}")
     weights = MotifWeights(
         k,
         graph,
-        WeightRule(rules),
+        WeightRule(cfg["rules"]),
         overrides,
-        seed=int(cfg.get("seed", 0)),
+        seed=as_number(cfg.get("seed", 0), "weight layer 'seed'", int),
         directed=cfg.get("directed"),
     )
-    return Layer(k, weights, float(cfg.get("lambda", 1.0)))
+    return Layer(k, weights, as_number(cfg.get("lambda", 1.0), "weight layer 'lambda'"))
 
 
 def weights_from_config(cfg, graph: DirectedGraph) -> MixedWeights:
@@ -358,6 +372,8 @@ def weights_from_config(cfg, graph: DirectedGraph) -> MixedWeights:
         cfg = cfg["layers"]
     if isinstance(cfg, dict):
         cfg = [cfg]
+    if not isinstance(cfg, list):
+        raise InvalidParameterError(f"weight config must be a layer object or a list of them, got {cfg!r}")
     return MixedWeights([_layer_from_config(layer, graph) for layer in cfg])
 
 

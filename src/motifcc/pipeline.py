@@ -39,6 +39,7 @@ from .errors import (
     MotifccError,
     SolverFailureError,
     StageError,
+    as_number,
 )
 from .graph import (
     DirectedGraph,
@@ -213,44 +214,27 @@ def resolve_weights(config: RunConfig, graph: DirectedGraph) -> MixedWeights:
             return build_table1_weights(config.method, graph)
         if name == "fig2":
             return fig2_weights(graph)
-        if name == "anomaly":
-            return anomaly_weights(graph, _weight_arg(spec, arg)) if arg else anomaly_weights(graph)
-        if name == "layered-flow":
-            return (
-                layered_flow_weights(graph, _weight_arg(spec, arg), seed=config.seed)
-                if arg
-                else layered_flow_weights(graph, seed=config.seed)
-            )
+        if name in ("anomaly", "layered-flow"):
+            kw = {"other_weight": as_number(arg, f"weights spec {spec!r} argument")} if arg else {}
+            if name == "anomaly":
+                return anomaly_weights(graph, **kw)
+            return layered_flow_weights(graph, seed=config.seed, **kw)
         if name.endswith(".json"):
             return weights_from_config(spec, graph)
         raise InvalidParameterError(f"unrecognized weights spec {spec!r}")
     raise InvalidParameterError(f"unrecognized weights spec {spec!r}")
 
 
-def _weight_arg(spec: str, arg: str) -> float:
-    try:
-        return float(arg)
-    except ValueError:
-        raise InvalidParameterError(f"weights spec {spec!r}: {arg!r} is not a number") from None
-
-
 def pick_relaxation(config: RunConfig, mixed: MixedWeights) -> str:
     rel = config.relaxation.upper() if config.relaxation else "AUTO"
     single = len(mixed) == 1
     if rel == "AUTO":
-        if single and mixed.k_star >= 3:
-            return "LP2"
-        return "LP3"
-    if rel == "LP1":
-        if not single:
-            raise InvalidParameterError("LP1 is defined for a single motif layer")
-        return "LP1"
-    if rel == "LP2":
-        if not single:
-            raise InvalidParameterError("LP2 is defined for a single motif layer; use LP3")
-        return "LP2"
-    if rel == "LP3":
-        return "LP3"
+        return "LP2" if single and mixed.k_star >= 3 else "LP3"
+    if rel in ("LP1", "LP2") and not single:
+        hint = "; use LP3" if rel == "LP2" else ""
+        raise InvalidParameterError(f"{rel} is defined for a single motif layer{hint}")
+    if rel in ("LP1", "LP2", "LP3"):
+        return rel
     raise InvalidParameterError(f"unknown relaxation {config.relaxation!r}")
 
 

@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     InvalidVertexError,
 )
-from .graph import KTuple, Partition
+from .graph import Partition
 from .lpmodel import FractionalSolution, evaluate_objective
 from .motifs import MixedWeights
 

@@ -30,9 +30,10 @@ Design notes:
   degenerate pivots, which restores the anti-cycling guarantee; the ratio
   test is a Harris-style two-pass with bound flips, evaluated only at the
   basis positions the entering column moves.
-* Infeasible starts (only possible for hand-written dumps or warm starts
-  gone wrong — the clustering LPs have b = 0 and start feasible at the
-  origin) go through a phase-1 with artificial columns.
+* Infeasible starts go through a phase-1 with artificial columns.  The
+  only LP the pipeline gives this simplex is LP1, which has b = 0 and
+  starts feasible at the origin, so phase 1 runs only for a warm start
+  gone wrong or an LP handed in from Python (dumps go to HiGHS).
 * The pipeline runs this simplex on LP1 only, from the greedy warm start.
   LP2/LP3 and ``--lp-dump`` go to HiGHS (engine ``"scipy"``): the copy
   scipy bundles, loaded by ``highs_core`` without importing

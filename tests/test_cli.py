@@ -232,6 +232,33 @@ class TestRoundCommand:
 
 
 FIG2A_CC = ["--generator", "fig2a", "--method", "CC"]
+
+# Malformed JSON inputs, written into the working directory of every case.
+TRIPLE_RULES = {"TriangleK3": 1.0, "PathP3": 0.5, "OtherTriple": 0.2}
+SOLUTION = {"objective_value": 0.0, "status": "optimal"}
+BAD_FILES = {
+    "w_lambda.json": {"k": 3, "rules": TRIPLE_RULES, "lambda": "x"},
+    "w_k.json": {"k": "x", "rules": TRIPLE_RULES},
+    "w_seed.json": {"k": 3, "rules": TRIPLE_RULES, "seed": "s"},
+    "w_rule.json": {"k": 3, "rules": dict(TRIPLE_RULES, PathP3="abc")},
+    "w_override.json": {"k": 3, "rules": TRIPLE_RULES, "overrides": [[1, 2, 3, "q"]]},
+    "w_rules_list.json": {"k": 3, "rules": [1, 2]},
+    "w_list.json": [1, 2],
+    "w_overrides.json": {"k": 3, "rules": TRIPLE_RULES, "overrides": 5},
+    "w_negative_seed.json": {"k": 3, "rules": dict(TRIPLE_RULES, PathP3=[0.2, 0.8]), "seed": -1},
+    "w_lambda_nan.json": {"k": 3, "rules": TRIPLE_RULES, "lambda": "nan"},
+    "w_directed.json": {"k": 3, "rules": TRIPLE_RULES, "directed": "no"},
+    "s_list.json": [1, 2],
+    "s_string.json": "x_1_2",
+    "s_value.json": {"x_1_2": "abc"},
+    "s_values_list.json": dict(SOLUTION, values=[0.5]),
+    "s_values_value.json": dict(SOLUTION, values={"x_1_2": "abc"}),
+    "c_list.json": [{"generator": "fig2a", "weights": "fig2"}],
+    "c_run.json": {"runs": [{"generator": "fig2a", "weights": "fig2"}, 3]},
+}
+DUMP = "minimize\nobj: +1*x_1_2 offset 0\nsubject to\nbounds\n0 <= x_1_2 <= 1\nend\n"
+VERIFY = ["verify", "--problem", "p.txt", "--solution"]
+ROUND = ["round", "--n", "3", "--k", "2", "--solution"]
 BAD_VALUES = {
     "alpha-0": (["solve", *FIG2A_CC, "--alpha", "0"], "alpha"),
     "beta-0": (["solve", *FIG2A_CC, "--beta", "0"], "beta"),
@@ -254,6 +281,26 @@ BAD_VALUES = {
     "unknown-generator-arg": (["solve", "--generator", "fig2b", "--generator-arg", "foo=1", "--weights", "fig2"], "'foo'"),
     "unknown-generate-arg": (["generate", "--name", "fig2a", "--generator-arg", "n=4"], "'n'"),
     "tol-below-highs-range": (["solve", *FIG2A_CC, "--tol", "1e-12"], "primal_feasibility_tolerance=1e-12"),
+    "weights-lambda": (["solve", "--generator", "fig2a", "--weights", "w_lambda.json"], "'lambda'"),
+    "weights-k": (["solve", "--generator", "fig2a", "--weights", "w_k.json"], "'k'"),
+    "weights-seed": (["solve", "--generator", "fig2a", "--weights", "w_seed.json"], "'seed'"),
+    "weights-rule-value": (["solve", "--generator", "fig2a", "--weights", "w_rule.json"], "PathP3"),
+    "weights-override": (["solve", "--generator", "fig2a", "--weights", "w_override.json"], "'q'"),
+    "weights-rules-list": (["solve", "--generator", "fig2a", "--weights", "w_rules_list.json"], "rules"),
+    "weights-top-list": (["solve", "--generator", "fig2a", "--weights", "w_list.json"], "got 1"),
+    "weights-overrides": (["solve", "--generator", "fig2a", "--weights", "w_overrides.json"], "'overrides'"),
+    "weights-negative-seed": (["solve", "--generator", "fig2a", "--weights", "w_negative_seed.json"], "got -1"),
+    "weights-lambda-nan": (["solve", "--generator", "fig2a", "--weights", "w_lambda_nan.json"], "got nan"),
+    "weights-directed": (["solve", "--generator", "fig2a", "--weights", "w_directed.json"], "'directed'"),
+    "verify-list": ([*VERIFY, "s_list.json"], "got list"),
+    "verify-string": ([*VERIFY, "s_string.json"], "got str"),
+    "verify-value": ([*VERIFY, "s_value.json"], "'x_1_2'"),
+    "verify-values-list": ([*VERIFY, "s_values_list.json"], "'values'"),
+    "verify-values-value": ([*VERIFY, "s_values_value.json"], "'x_1_2'"),
+    "round-values-list": ([*ROUND, "s_values_list.json"], "'values'"),
+    "round-values-value": ([*ROUND, "s_values_value.json"], "'x_1_2'"),
+    "compare-list": (["compare", "--config", "c_list.json"], "got list"),
+    "compare-run": (["compare", "--config", "c_run.json"], "runs[1]"),
 }
 
 
@@ -261,6 +308,9 @@ class TestBadValuesExit2:
     @pytest.mark.parametrize("case", sorted(BAD_VALUES))
     def test_exits_2_naming_the_value(self, case, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # generate writes into the working directory
+        for name, payload in BAD_FILES.items():
+            (tmp_path / name).write_text(json.dumps(payload))
+        (tmp_path / "p.txt").write_text(DUMP)
         argv, named = BAD_VALUES[case]
         assert main(argv) == EXIT_CONFIG
         assert named in capsys.readouterr().err
