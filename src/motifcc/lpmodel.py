@@ -25,6 +25,11 @@ emitter (``_emit_rows``) writes the rows of all four families from arrays
 of column indices: Upsilon rows, the pair-floor and pair-sum rows of each
 tuple, and triangle rows.
 
+The LP2/LP3 set-up works on arrays: O(rows) numpy work, one object per
+column, and one pair-column map per fresh column list (an (n+1)² matrix)
+that the LPs ``LpProblem.derive`` makes from it (the reduced LP, every
+round) reuse.  Row names are formatted only when ``row_names`` is read.
+
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
 comparable with ``evaluate_objective`` on integral partitions.
@@ -37,10 +42,12 @@ census total matches the closed-form constraint counts.
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -116,6 +123,7 @@ class LpProblem:
     ``census`` maps structural-constraint family names to their counts; the
     family "unit_cap" is realized as variable bounds rather than rows, and
     "triangle_active" says how many of the "triangle" family are rows.
+    ``row_names`` may be a function giving the list, run on first read.
     """
 
     def __init__(
@@ -127,22 +135,20 @@ class LpProblem:
         rows: sp.csr_matrix,
         senses: np.ndarray,
         rhs: np.ndarray,
-        row_names: list[str],
+        row_names: list[str] | Callable[[], list[str]],
         census: dict[str, int] | None = None,
         lb: np.ndarray | None = None,
         ub: np.ndarray | None = None,
     ):
         self.name = name
         self.var_ids = list(var_ids)
-        self.col_index = {vid: j for j, vid in enumerate(self.var_ids)}
-        if len(self.col_index) != len(self.var_ids):
+        if len(set(self.var_ids)) != len(self.var_ids):
             raise InvalidParameterError("duplicate variable ids")
         self.obj = np.asarray(obj, dtype=float)
         self.offset = float(offset)
         self.A = rows.tocsr()
         self.senses = np.asarray(senses, dtype=np.int8)
         self.rhs = np.asarray(rhs, dtype=float)
-        self.row_names = list(row_names)
         self.census = dict(census or {})
         n = len(self.var_ids)
         self.lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
@@ -151,6 +157,41 @@ class LpProblem:
             raise InvalidParameterError(
                 f"matrix shape {self.A.shape} inconsistent with {len(self.rhs)} rows, {n} vars"
             )
+        self._row_names = row_names if callable(row_names) else self._checked_names(row_names)
+
+    def _checked_names(self, names) -> list[str]:
+        names = list(names)
+        if len(names) != self.num_rows:
+            raise InvalidParameterError(f"{len(names)} row names for {self.num_rows} rows")
+        return names
+
+    @property
+    def row_names(self) -> list[str]:
+        if callable(self._row_names):
+            self._row_names = self._checked_names(self._row_names())
+        return self._row_names
+
+    @cached_property
+    def col_index(self) -> dict[VarId, int]:
+        return {vid: j for j, vid in enumerate(self.var_ids)}
+
+    @cached_property
+    def pair_columns(self) -> np.ndarray | None:
+        return _pair_column_matrix(self.var_ids)
+
+    def derive(self, rows, senses, rhs, row_names, census, keep: np.ndarray | None = None) -> "LpProblem":
+        """This LP's columns, or the subset ``keep`` (indices, in order), under
+        new rows; the column list is not checked again."""
+        lp = copy.copy(self)
+        lp.A, lp.senses, lp.rhs, lp._row_names, lp.census = rows, senses, rhs, row_names, dict(census)
+        if keep is not None:
+            lp.var_ids = [self.var_ids[j] for j in keep.tolist()]
+            lp.obj, lp.lb, lp.ub = self.obj[keep], self.lb[keep], self.ub[keep]
+            lp.__dict__.pop("col_index", None)  # it indexed the parent's columns
+            at = np.full(self.num_vars + 1, -1, dtype=np.int64)  # at[-1] maps "no column" to itself
+            at[keep] = np.arange(len(keep))
+            lp.pair_columns = None if self.pair_columns is None else at[self.pair_columns]
+        return lp
 
     @property
     def num_vars(self) -> int:
@@ -306,7 +347,10 @@ class FractionalSolution:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        self._index = {vid: j for j, vid in enumerate(self.var_ids)}
+
+    @cached_property
+    def _index(self) -> dict[VarId, int]:
+        return {vid: j for j, vid in enumerate(self.var_ids)}
 
     def value(self, vid: VarId) -> float:
         return float(self.values[self._index[vid]])
@@ -397,10 +441,6 @@ def _check_weights_n(weights: MotifWeights, n: int) -> None:
         )
 
 
-def _tuple_list(weights: MotifWeights) -> list[KTuple]:
-    return list(map(tuple, weights.tuple_table().tuples.tolist()))
-
-
 def build_lp1(
     weights: MotifWeights, n: int, *, max_constraints: int | None = None
 ) -> LpProblem:
@@ -414,7 +454,7 @@ def build_lp1(
         raise SizeLimitError(
             f"LP1 would need {est} constraints (cap {cap}); pass max_constraints to override"
         )
-    tuples = _tuple_list(weights)
+    tuples = list(map(tuple, weights.tuple_table().tuples.tolist()))
     var_ids = [VarId("tuple", t) for t in tuples]
     col = {t: j for j, t in enumerate(tuples)}
     wplus = weights.tuple_table().wplus
@@ -433,42 +473,60 @@ def build_lp1(
                     continue
                 triples.append((col[k3], i, j))
     A, senses, rhs = _emit_rows(len(var_ids), [(triples, (1.0, -1.0, -1.0), (3,))])
-    names = [f"ups{i}" for i in range(len(triples))]
+    m = len(triples)  # the row-name function keeps the count, not the triples
     return LpProblem(
-        f"lp1_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs, names, census={"upsilon": len(triples)}
+        f"lp1_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs,
+        lambda: [f"ups{i}" for i in range(m)], census={"upsilon": m},
     )
 
 
-def _emit_pair_rows(tuples: np.ndarray, base: int, zc: np.ndarray) -> tuple[tuple, list[str]]:
-    """Row group and row names of the per-tuple families: z_uv <= x_K for
-    each pair uv of K, then (k-1)·x_K <= Σ z_uv.  ``tuples`` is an (m, k)
-    array, the variable x_K of ``tuples[i]`` is column ``base + i`` and
-    ``zc`` maps a vertex pair to its z column."""
+def _emit_pair_rows(tuples: np.ndarray, base: int, zc: np.ndarray) -> tuple:
+    """Row group of the per-tuple families: z_uv <= x_K for each pair uv
+    of K, then (k-1)·x_K <= Σ z_uv.  ``tuples`` is an (m, k) array, the
+    variable x_K of ``tuples[i]`` is column ``base + i`` and ``zc`` maps a
+    vertex pair to its z column."""
     m, k = tuples.shape
     ij = list(combinations(range(k), 2))
     a, b = np.array(ij).T
     z = zc[tuples[:, a], tuples[:, b]]  # (m, C(k,2))
     x = np.arange(base, base + m)[:, None]
     floors = np.stack([z, np.broadcast_to(x, z.shape)], axis=2).reshape(m, -1)
-    group = (
+    return (
         np.hstack([floors, x, z]),
         (1.0, -1.0) * len(ij) + (float(k - 1),) + (-1.0,) * len(ij),
         (2,) * len(ij) + (len(ij) + 1,),
     )
+
+
+def _pair_row_names(tables: list[np.ndarray]) -> list[str]:
+    """Names of the rows ``_emit_pair_rows`` writes for each of ``tables``."""
     names = []
-    for t in tuples.tolist():
-        tn = "_".join(map(str, t))
-        names += [f"pf_{tn}_{t[i]}_{t[j]}" for i, j in ij]
-        names.append(f"ps_{tn}")
-    return group, names
+    for tuples in tables:
+        ij = list(combinations(range(tuples.shape[1]), 2))
+        for t in tuples.tolist():
+            tn = "_".join(map(str, t))
+            names += [f"pf_{tn}_{t[i]}_{t[j]}" for i, j in ij]
+            names.append(f"ps_{tn}")
+    return names
+
+
+def _names(source, rows: np.ndarray | None = None, triangles=()) -> list[str]:
+    """Row names from a list or the function formatting them, at ``rows``, then ``triangles``' rows."""
+    names = source() if callable(source) else source
+    names = names if rows is None else [names[i] for i in rows.tolist()]
+    return names + [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in np.asarray(triangles).tolist()]
+
+
+def _triples(n: int) -> np.ndarray:
+    """The C(n,3) triples a < b < c of 1..n as rows, in lexicographic order."""
+    v = np.arange(n)
+    return np.argwhere((v[:, None, None] < v[:, None]) & (v[:, None] < v)) + 1
 
 
 def all_triangles(n: int) -> np.ndarray:
     """Every triangle row of the metric on 1..n as (a, b, c, apex) rows,
     a < b < c, in canonical order: triples lexicographic, then apex a, b, c."""
-    if n < 3:
-        return np.empty((0, 4), dtype=np.int64)
-    abc = np.array(list(combinations(range(1, n + 1), 3)), dtype=np.int64)
+    abc = _triples(n)
     return np.column_stack([np.repeat(abc, 3, axis=0), abc.ravel()])
 
 
@@ -497,7 +555,7 @@ def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
     m = len(tri)
     if not m:
         return core
-    zc = _pair_column_matrix(core.var_ids)
+    zc = core.pair_columns
     if zc is None:
         raise InvalidParameterError(f"LP {core.name} has no pair variables for triangle rows")
     abc, p = tri[:, :3], tri[:, 3]
@@ -505,20 +563,13 @@ def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
     q, r = others[:, 0], others[:, 1]
     cols = np.column_stack([zc[q, r], zc[p, q], zc[p, r]])
     block, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
-    names = [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in tri.tolist()]
     census = dict(core.census, triangle_active=core.census.get("triangle_active", 0) + m)
-    return LpProblem(
-        core.name,
-        core.var_ids,
-        core.obj,
-        core.offset,
+    return core.derive(
         sp.vstack([core.A, block], format="csr"),
         np.concatenate([core.senses, senses]),
         np.concatenate([core.rhs, rhs]),
-        core.row_names + names,
-        census=census,
-        lb=core.lb,
-        ub=core.ub,
+        partial(_names, core._row_names, triangles=tri),
+        census,
     )
 
 
@@ -529,33 +580,21 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
 
     The violation is evaluated as (z_qr - z_pq) - z_pr, the order in which
     a row's sparse product sums its terms, so the result equals the set of
-    rows with ``A_tri @ x - rhs > tol``.  Work and memory are O(n^2) per
-    apex.  An LP without pair variables has no triangle rows to violate.
+    rows with ``A_tri @ x - rhs > tol``.  Work and memory are O(C(n,3)):
+    three checks per triple, at once.  An LP without pair variables has no
+    triangle rows to violate.
     """
-    zc = _pair_column_matrix(problem.var_ids)
+    zc = problem.pair_columns
     if zc is None:
         return np.empty((0, 4), dtype=np.int64)
-    n = zc.shape[0] - 1
-    values = np.asarray(values, dtype=float)
-    Z = np.zeros((n + 1, n + 1))
-    has = zc >= 0
-    Z[has] = values[zc[has]]
-    Z = Z[1:, 1:]  # vertex v at index v - 1
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    found = []
-    for p in range(n):
-        viol = (Z - Z[p, :, None]) - Z[p, None, :] > tol
-        viol &= upper
-        viol[p, :] = False
-        viol[:, p] = False
-        q, r = np.nonzero(viol)
-        if len(q):
-            found.append(np.column_stack([np.full(len(q), p), q, r]))
-    if not found:
-        return np.empty((0, 4), dtype=np.int64)
-    pqr = np.concatenate(found) + 1
-    tri = np.column_stack([np.sort(pqr, axis=1), pqr[:, 0]])
-    return tri[np.lexsort(tri.T[::-1])]
+    Z = np.where(zc >= 0, np.asarray(values, dtype=float)[zc], 0.0)
+    abc = _triples(zc.shape[0] - 1)
+    a, b, c = abc.T
+    ab, ac, bc = Z[a, b], Z[a, c], Z[b, c]
+    # apex a: z_bc <= z_ab + z_ac; apex b: z_ac <= z_ab + z_bc; apex c: z_ab <= z_ac + z_bc
+    viol = np.column_stack([(bc - ab) - ac, (ac - ab) - bc, (ab - ac) - bc]) > tol
+    t, apex = np.nonzero(viol)
+    return np.column_stack([abc[t], abc[t, apex]])
 
 
 class TupleLift:
@@ -607,29 +646,16 @@ def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
     when no tuple column costs 0, or when the LP has no pair columns: LP1's
     rows tie tuple columns to each other, so the argument does not hold.
     """
-    zc = _pair_column_matrix(core.var_ids)
-    drop = np.array([vid.kind == "tuple" for vid in core.var_ids], dtype=bool) & (core.obj == 0.0)
-    if zc is None:
-        drop[:] = False
+    zc = core.pair_columns
+    drop = np.array([v.kind == "tuple" and zc is not None for v in core.var_ids], dtype=bool) & (core.obj == 0.0)
     kept, dropped = np.nonzero(~drop)[0], np.nonzero(drop)[0]
     lift = TupleLift(core.var_ids, kept, dropped, zc)
     if not len(dropped):
         return core, lift
     A = core.A
     rows = np.nonzero(A[:, dropped].getnnz(axis=1) == 0)[0]
-    reduced = LpProblem(
-        core.name,
-        [core.var_ids[j] for j in kept.tolist()],
-        core.obj[kept],
-        core.offset,
-        A[rows][:, kept],
-        core.senses[rows],
-        core.rhs[rows],
-        [core.row_names[i] for i in rows.tolist()],
-        census=core.census,
-        lb=core.lb[kept],
-        ub=core.ub[kept],
-    )
+    names = partial(_names, core._row_names, rows)
+    reduced = core.derive(A[rows][:, kept], core.senses[rows], core.rhs[rows], names, core.census, keep=kept)
     return reduced, lift
 
 
@@ -673,7 +699,7 @@ def build_lp3_core(
         if layer.k < 3:
             continue
         base[layer.k] = len(var_ids)
-        var_ids.extend(VarId("tuple", t) for t in _tuple_list(layer.weights))
+        var_ids.extend(VarId("tuple", tuple(t)) for t in layer.weights.tuple_table().tuples.tolist())
     zbase = len(var_ids)
     var_ids.extend(VarId("pair", p) for p in pairs)
     obj = np.zeros(len(var_ids))
@@ -685,15 +711,14 @@ def build_lp3_core(
         obj[lo : lo + len(wplus)] += layer.lam * (2.0 * wplus - 1.0)
         offset += layer.lam * float((1.0 - wplus).sum())
     zc = _pair_column_matrix(var_ids)
-    groups, names = [], []
+    groups, tables = [], []
     census: dict[str, int] = {"pair_floor": 0, "pair_sum_cap": 0, "unit_cap": 0}
     for layer in mixed:
         if layer.k < 3:
             continue
         tuples = layer.weights.tuple_table().tuples
-        group, group_names = _emit_pair_rows(tuples, base[layer.k], zc)
-        groups.append(group)
-        names += group_names
+        groups.append(_emit_pair_rows(tuples, base[layer.k], zc))
+        tables.append(tuples)
         census["pair_floor"] += len(tuples) * math.comb(layer.k, 2)
         census["pair_sum_cap"] += len(tuples)
         census["unit_cap"] += len(tuples)
@@ -703,7 +728,10 @@ def build_lp3_core(
     census["triangle_active"] = 0
     A, senses, rhs = _emit_rows(len(var_ids), groups)
     ks = "-".join(str(l.k) for l in mixed)
-    return LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, A, senses, rhs, names, census=census)
+    names = partial(_pair_row_names, tables)
+    core = LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, A, senses, rhs, names, census=census)
+    core.pair_columns = zc  # built above from the same columns
+    return core
 
 
 # ------------------------------------------------------- points & objective
@@ -723,12 +751,8 @@ def induced_point(partition: Partition, problem: LpProblem) -> FractionalSolutio
 
 def _labels(partition: Partition, mixed: MixedWeights) -> np.ndarray:
     """Cluster index per vertex (slot 0 unused), for the tuple kernels."""
-    n = partition.n
-    _check_n(n, mixed)
-    labels = np.zeros(n + 1, dtype=np.int64)
-    for v, c in partition.assignment.items():
-        labels[v] = c
-    return labels
+    _check_n(partition.n, mixed)
+    return np.array([0, *partition.labels_array()], dtype=np.int64)
 
 
 def _check_n(n: int, mixed: MixedWeights) -> None:

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -38,48 +39,56 @@ class MotifClass(str, Enum):
         return self.value
 
 
-def classify_pair(graph: DirectedGraph, pair: Iterable[int]) -> MotifClass:
-    u, v = canonical_tuple(pair)
-    return MotifClass.EDGE if graph.adjacent(u, v) else MotifClass.NON_EDGE
+_CLASSES = tuple(sorted(MotifClass, key=lambda c: c.value))  # as ``classify_rows`` numbers them
 
 
-def classify_triple(
-    graph: DirectedGraph, tup: Iterable[int], *, directed: bool | None = None
-) -> MotifClass:
-    """Classify a 3-tuple.
+def classify_rows(graph: DirectedGraph, tuples, *, directed: bool | None = None) -> np.ndarray:
+    """Class of every row of a (T, k) tuple array, k in {2, 3}, as an index into
+    ``_CLASSES``: the one copy of the built-in rules.  O(T + n^2) work and memory.
 
     ``directed=None`` picks the view automatically: symmetric graphs get the
     undirected classes (TriangleK3 / PathP3 / OtherTriple), anything else
     the directed ones.  A clean directed 3-cycle requires one rotational
     orientation and zero bidirectional pairs; a cycle with bidirectional
     pairs is its own class.  FeedForward is the strict 3-arc acyclic
-    triangle — a bidirectional pair disqualifies it.
+    triangle — a bidirectional pair disqualifies it.  k = 2 has one view.
     """
+    t = np.asarray(tuples, dtype=np.int64)
+    if t.shape[1] not in (2, 3):
+        raise UnsupportedMotifSizeError(f"no built-in classes for k={t.shape[1]}")
+    if t.size and (t.min() < 1 or t.max() > graph.n):
+        raise InvalidVertexError(f"tuple vertex outside [1..{graph.n}]")
+    arc = np.zeros((graph.n + 1, graph.n + 1), dtype=bool)
+    arc[tuple(np.array(list(graph.arcs), dtype=np.int64).reshape(-1, 2).T)] = True
+    adj, bidi, code = arc | arc.T, arc & arc.T, _CLASSES.index
+    if t.shape[1] == 2:
+        return np.where(adj[t[:, 0], t[:, 1]], code(MotifClass.EDGE), code(MotifClass.NON_EDGE))
+    a, b, c = t.T
+    if directed is None:
+        directed = not graph.is_symmetric
+    if not directed:
+        deg = adj[a, b].astype(np.int64) + adj[a, c] + adj[b, c]
+        picks = [(deg == 3, MotifClass.TRIANGLE), (deg == 2, MotifClass.PATH)]
+    else:
+        clean = ~(bidi[a, b] | bidi[a, c] | bidi[b, c])
+        cycle = (arc[a, b] & arc[b, c] & arc[c, a]) | (arc[a, c] & arc[c, b] & arc[b, a])
+        full = adj[a, b] & adj[a, c] & adj[b, c]
+        picks = [(cycle & clean, MotifClass.DIRECTED_THREE_CYCLE),
+                 (cycle, MotifClass.DIRECTED_THREE_CYCLE_BIDIRECTIONAL), (full & clean, MotifClass.FEED_FORWARD)]
+    return np.select([m for m, _ in picks], [code(cls) for _, cls in picks], code(MotifClass.OTHER_TRIPLE))
+
+
+def classify_pair(graph: DirectedGraph, pair: Iterable[int]) -> MotifClass:
+    u, v = canonical_tuple(pair)
+    return _CLASSES[classify_rows(graph, [(u, v)])[0]]
+
+
+def classify_triple(graph: DirectedGraph, tup: Iterable[int], *, directed: bool | None = None) -> MotifClass:
+    """Classify a 3-tuple (the classes are in ``classify_rows``)."""
     t = canonical_tuple(tup)
     if len(t) != 3:
         raise UnsupportedMotifSizeError(f"classify_triple needs k=3, got {len(t)}")
-    a, b, c = t
-    if directed is None:
-        directed = not graph.is_symmetric
-    pairs = ((a, b), (a, c), (b, c))
-    if not directed:
-        deg = sum(graph.adjacent(u, v) for u, v in pairs)
-        if deg == 3:
-            return MotifClass.TRIANGLE
-        if deg == 2:
-            return MotifClass.PATH
-        return MotifClass.OTHER_TRIPLE
-    bidi = sum(graph.bidirectional(u, v) for u, v in pairs)
-    cycle = (
-        graph.has_arc(a, b) and graph.has_arc(b, c) and graph.has_arc(c, a)
-    ) or (graph.has_arc(a, c) and graph.has_arc(c, b) and graph.has_arc(b, a))
-    if cycle:
-        if bidi == 0:
-            return MotifClass.DIRECTED_THREE_CYCLE
-        return MotifClass.DIRECTED_THREE_CYCLE_BIDIRECTIONAL
-    if bidi == 0 and all(graph.adjacent(u, v) for u, v in pairs):
-        return MotifClass.FEED_FORWARD
-    return MotifClass.OTHER_TRIPLE
+    return _CLASSES[classify_rows(graph, [t], directed=directed)[0]]
 
 
 def classify(
@@ -91,14 +100,10 @@ def classify(
 ) -> str:
     """Total classification for k in {2, 3}; larger k needs ``classifier``."""
     t = canonical_tuple(tup)
-    if len(t) == 2:
-        return classify_pair(graph, t).value
-    if len(t) == 3:
-        return classify_triple(graph, t, directed=directed).value
+    if len(t) <= 3:
+        return _CLASSES[classify_rows(graph, [t], directed=directed)[0]].value
     if classifier is None:
-        raise UnsupportedMotifSizeError(
-            f"no built-in classes for k={len(t)}; supply a classifier"
-        )
+        raise UnsupportedMotifSizeError(f"no built-in classes for k={len(t)}; supply a classifier")
     return str(classifier(graph, t))
 
 
@@ -198,38 +203,48 @@ class MotifWeights:
     def classify(self, tup: KTuple) -> str:
         return classify(self.graph, tup, directed=self.directed, classifier=self.classifier)
 
+    def classify_tuples(self, tuples: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted classes of the rows of ``tuples`` and each row's index into
+        them: one ``classify_rows`` pass for k <= 3, else a classifier call per tuple."""
+        if self.k <= 3:
+            tags = np.array([c.value for c in _CLASSES])[classify_rows(self.graph, tuples, directed=self.directed)]
+        else:
+            tags = [self.classify(t) for t in map(tuple, tuples.tolist())]
+        classes, idx = np.unique(tags, return_inverse=True)
+        return tuple(classes.tolist()), idx.astype(np.int64)
+
     def tuple_table(self) -> TupleTable:
         """The table over all k-tuples of the graph, built on first use."""
         if self._table is None:
-            tuples = list(enumerate_ktuples(self.graph.vertices(), self.k))
-            tags = [self.classify(t) for t in tuples]
-            classes = tuple(sorted(set(tags)))
-            slot = {tag: i for i, tag in enumerate(classes)}
-            wplus = np.array([self._weigh(t, tag) for t, tag in zip(tuples, tags)], dtype=float)
-            self._table = TupleTable(
-                np.array(tuples, dtype=np.int64).reshape(-1, self.k),
-                wplus,
-                classes,
-                np.array([slot[tag] for tag in tags], dtype=np.int64),
-            )
+            combos = chain.from_iterable(enumerate_ktuples(self.graph.vertices(), self.k))
+            tuples = np.fromiter(combos, dtype=np.int64).reshape(-1, self.k)
+            classes, class_idx = self.classify_tuples(tuples)
+            self._table = TupleTable(tuples, self._weigh(tuples, classes, class_idx), classes, class_idx)
         return self._table
 
-    def _weigh(self, t: KTuple, tag: str) -> float:
-        if t in self.overrides:
-            return self.overrides[t]
-        raw = self.rule.value_for(tag)
-        if isinstance(raw, tuple):
-            lo, hi = raw
-            rng = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=t))
-            return lo + (hi - lo) * rng.random()
-        return raw
+    def _weigh(self, tuples: np.ndarray, classes: tuple[str, ...], class_idx: np.ndarray) -> np.ndarray:
+        """w+ of every row: its override, else its class rule."""
+        wplus, ranks = np.empty(len(tuples)), [self._rank(t) for t in self.overrides]
+        free = ~np.isin(np.arange(len(tuples)), ranks)
+        present, first = np.unique(class_idx[free], return_index=True)
+        # in the order of first use, so a missing rule names the first tuple that needs it
+        for i in present[np.argsort(first)].tolist():
+            raw = self.rule.value_for(classes[i])
+            rows = np.nonzero((class_idx == i) & free)[0]
+            if isinstance(raw, tuple):  # a draw per tuple, spawned on the tuple itself
+                seeds = (np.random.SeedSequence(self.seed, spawn_key=t) for t in map(tuple, tuples[rows].tolist()))
+                raw = [raw[0] + (raw[1] - raw[0]) * np.random.default_rng(s).random() for s in seeds]
+            wplus[rows] = raw
+        wplus[ranks] = list(self.overrides.values())
+        return wplus
+
+    def _rank(self, t: KTuple) -> int:
+        """Lexicographic rank of the canonical tuple t among the k-subsets of [1..n]."""
+        n, k = self.graph.n, self.k
+        return math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(t))
 
     def w_plus(self, tup: Iterable[int]) -> float:
-        t = self._checked(tup)
-        # lexicographic rank of t among the k-subsets of [1..n]
-        n, k = self.graph.n, self.k
-        row = math.comb(n, k) - 1 - sum(math.comb(n - v, k - i) for i, v in enumerate(t))
-        return float(self.tuple_table().wplus[row])
+        return float(self.tuple_table().wplus[self._rank(self._checked(tup))])
 
     def resolve(self, tup: Iterable[int]) -> tuple[float, float]:
         """(w+, w-) for one tuple; the pair sums to 1 exactly."""

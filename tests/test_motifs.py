@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from motifcc import (
     DirectedGraph,
@@ -212,17 +213,21 @@ class TestTupleTable:
         assert table.classes == tuple(sorted(set(tags)))
 
     def test_each_tuple_classified_once(self, two_triangle_graph):
+        """One classification pass per table, over every tuple in
+        lexicographic order; the lookups after it classify nothing."""
         w = self.cases(two_triangle_graph)["k3-undirected-range-override"]
-        seen = []
-        classify_one = w.classify
-        w.classify = lambda t: seen.append(t) or classify_one(t)
+        passes, singles = [], []
+        classify_all, classify_one = w.classify_tuples, w.classify
+        w.classify_tuples = lambda tuples: passes.append(tuples.tolist()) or classify_all(tuples)
+        w.classify = lambda t: singles.append(t) or classify_one(t)
         mixed = MixedWeights.single(w)
         part = Partition.from_cluster_list([[1, 2, 4], [3, 5, 6]])
         build_lp2(w, 6)
         evaluate_objective(part, mixed)
         per_class_breakdown(part, mixed)
         w.resolve((1, 2, 3))
-        assert seen == list(itertools.combinations(range(1, 7), 3))
+        assert passes == [[list(t) for t in itertools.combinations(range(1, 7), 3)]]
+        assert singles == []
 
     def test_override_vertex_outside_graph_rejected(self):
         g = DirectedGraph.from_arcs(4, [(1, 2), (2, 1)])
@@ -333,3 +338,152 @@ class TestDirectedCycleRule:
     def test_jitter_range(self):
         rule = directed_cycle_rule(jitter=(0.41, 0.48))
         assert rule.values["OtherTriple"] == (0.41, 0.48)
+
+
+# -------------------------------------------------- array rule vs per-tuple
+
+# The per-tuple rules the array rule (``classify_rows``) replaced, kept as
+# the reference: one tuple at a time, through the graph's arc predicates.
+
+
+def reference_classify_pair(graph, pair) -> MotifClass:
+    u, v = sorted(pair)
+    return MotifClass.EDGE if graph.adjacent(u, v) else MotifClass.NON_EDGE
+
+
+def reference_classify_triple(graph, tup, directed=None) -> MotifClass:
+    a, b, c = sorted(tup)
+    if directed is None:
+        directed = not graph.is_symmetric
+    pairs = ((a, b), (a, c), (b, c))
+    if not directed:
+        deg = sum(graph.adjacent(u, v) for u, v in pairs)
+        if deg == 3:
+            return MotifClass.TRIANGLE
+        if deg == 2:
+            return MotifClass.PATH
+        return MotifClass.OTHER_TRIPLE
+    bidi = sum(graph.bidirectional(u, v) for u, v in pairs)
+    cycle = (
+        graph.has_arc(a, b) and graph.has_arc(b, c) and graph.has_arc(c, a)
+    ) or (graph.has_arc(a, c) and graph.has_arc(c, b) and graph.has_arc(b, a))
+    if cycle:
+        if bidi == 0:
+            return MotifClass.DIRECTED_THREE_CYCLE
+        return MotifClass.DIRECTED_THREE_CYCLE_BIDIRECTIONAL
+    if bidi == 0 and all(graph.adjacent(u, v) for u, v in pairs):
+        return MotifClass.FEED_FORWARD
+    return MotifClass.OTHER_TRIPLE
+
+
+def reference_table(w: MotifWeights):
+    """(tuples, wplus, classes, class_idx) built one tuple at a time: the
+    override if there is one, else the class rule (a missing entry raises
+    at the first non-overridden tuple of that class)."""
+    tuples = list(itertools.combinations(range(1, w.graph.n + 1), w.k))
+    if w.k == 2:
+        tags = [reference_classify_pair(w.graph, t).value for t in tuples]
+    else:
+        tags = [reference_classify_triple(w.graph, t, w.directed).value for t in tuples]
+    classes = tuple(sorted(set(tags)))
+    wplus = []
+    for t, tag in zip(tuples, tags):
+        if t in w.overrides:
+            wplus.append(w.overrides[t])
+            continue
+        raw = w.rule.value_for(tag)
+        if isinstance(raw, tuple):
+            lo, hi = raw
+            rng = np.random.default_rng(np.random.SeedSequence(w.seed, spawn_key=t))
+            raw = lo + (hi - lo) * rng.random()
+        wplus.append(raw)
+    return tuples, np.array(wplus, dtype=float), classes, [classes.index(tag) for tag in tags]
+
+
+PAIR_TAGS = ["Edge", "NonEdge"]
+TRIPLE_TAGS = [c.value for c in MotifClass if c.value not in PAIR_TAGS]
+
+
+@st.composite
+def weight_cases(draw):
+    n = draw(st.integers(3, 12))
+    undirected = draw(st.booleans())
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    arcs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v and rng.random() < density]
+    if undirected:
+        arcs += [(v, u) for u, v in arcs]
+    graph = DirectedGraph.from_arcs(n, arcs)
+    k = draw(st.sampled_from([2, 3]))
+    rule = {}
+    for tag in PAIR_TAGS if k == 2 else TRIPLE_TAGS:
+        kind = draw(st.sampled_from(["missing", "constant", "range"]))
+        lo, hi = sorted(draw(st.tuples(st.floats(0, 1), st.floats(0, 1))))
+        if kind == "constant":
+            rule[tag] = lo
+        elif kind == "range":
+            rule[tag] = (lo, hi)
+    tuples = list(itertools.combinations(range(1, n + 1), k))
+    chosen = draw(st.lists(st.sampled_from(tuples), unique=True, max_size=len(tuples)))
+    overrides = {t: draw(st.floats(0, 1)) for t in chosen}
+    directed = draw(st.sampled_from([None, True, False]))
+    return MotifWeights(k, graph, WeightRule(rule), overrides, seed=draw(st.integers(0, 2**31)), directed=directed)
+
+
+def outcome(build):
+    try:
+        return build()
+    except InvalidParameterError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayRule:
+    @settings(max_examples=150, deadline=None)
+    @given(weight_cases())
+    def test_table_equals_the_per_tuple_rules(self, w):
+        def array_table():
+            tuples, wplus, classes, class_idx = w.tuple_table()
+            return [tuple(t) for t in tuples.tolist()], wplus, classes, class_idx.tolist()
+
+        got, want = outcome(array_table), outcome(lambda: reference_table(w))
+        if isinstance(want[1], str):  # the missing-class error
+            assert got == want
+            return
+        assert got[0] == want[0] and got[2:] == want[2:]
+        assert got[1].tobytes() == want[1].tobytes()
+        classify_k = classify_pair if w.k == 2 else (lambda g, t: classify_triple(g, t, directed=w.directed))
+        reference_k = (
+            reference_classify_pair if w.k == 2 else (lambda g, t: reference_classify_triple(g, t, w.directed))
+        )
+        for t in want[0]:
+            assert classify_k(w.graph, t) is reference_k(w.graph, t)
+            assert w.classify(t) == reference_k(w.graph, t).value
+
+    def test_override_on_a_class_the_rule_lacks(self, two_triangle_graph):
+        paths = [t for t in itertools.combinations(range(1, 7), 3)
+                 if reference_classify_triple(two_triangle_graph, t) is MotifClass.PATH]
+        rule = WeightRule({"TriangleK3": 1.0, "OtherTriple": (0.2, 0.4)})
+        w = MotifWeights(3, two_triangle_graph, rule, {t: 0.7 for t in paths}, seed=4)
+        table = w.tuple_table()
+        assert "PathP3" in table.classes
+        assert table.wplus.tobytes() == reference_table(w)[1].tobytes()
+        partial = MotifWeights(3, two_triangle_graph, rule, {t: 0.7 for t in paths[1:]}, seed=4)
+        with pytest.raises(InvalidParameterError, match="PathP3"):
+            partial.tuple_table()
+
+    def test_missing_class_error_names_the_first_tuple_that_needs_it(self, two_triangle_graph):
+        # (1, 2, 3) is a triangle, (1, 2, 4) a path: both classes lack a rule
+        rule = WeightRule({"OtherTriple": 0.5})
+        for overrides, named in (({}, "TriangleK3"), ({(1, 2, 3): 0.9}, "PathP3")):
+            w = MotifWeights(3, two_triangle_graph, rule, overrides)
+            with pytest.raises(InvalidParameterError, match=named):
+                w.tuple_table()
+            with pytest.raises(InvalidParameterError, match=named):
+                reference_table(w)
+
+    def test_vertex_outside_the_graph_rejected(self):
+        g = DirectedGraph.from_arcs(3, [(1, 2)])
+        with pytest.raises(InvalidVertexError):
+            classify_pair(g, (1, 4))
+        with pytest.raises(InvalidVertexError):
+            classify_triple(g, (0, 1, 2))
