@@ -8,8 +8,6 @@ threshold on w+.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -41,13 +39,11 @@ def _as_signs(signs) -> set[KTuple]:
 
 
 def _finish_report(
-    clusters: list[set[int]], n: int, solver: str, seed, mixed: MixedWeights | None, t0: float
+    clusters: list[set[int]], n: int, solver: str, seed, mixed: MixedWeights | None
 ) -> ClusteringReport:
     partition = Partition.from_cluster_list(clusters, n=n)
     cost = evaluate_objective(partition, mixed) if mixed is not None else float("nan")
-    return ClusteringReport(
-        partition, cost, solver, seed=seed, wall_time=time.perf_counter() - t0
-    )
+    return ClusteringReport(partition, cost, solver, seed=seed)
 
 
 def pivot_vertex_baseline(
@@ -55,7 +51,6 @@ def pivot_vertex_baseline(
 ) -> ClusteringReport:
     """Uniform random pivot vertex; its cluster is the pivot plus all
     remaining positive neighbors.  Cost evaluated on ``mixed`` if given."""
-    t0 = time.perf_counter()
     pos = _as_signs(signs)
     rng = np.random.default_rng(seed)
     remaining = set(range(1, n + 1))
@@ -67,7 +62,7 @@ def pivot_vertex_baseline(
         }
         remaining -= cluster
         clusters.append(cluster)
-    return _finish_report(clusters, n, "pivot-vertex", seed, mixed, t0)
+    return _finish_report(clusters, n, "pivot-vertex", seed, mixed)
 
 
 def pivot_edge_baseline(
@@ -82,7 +77,6 @@ def pivot_edge_baseline(
     positive edge connected to it, i.e. the positive connected component.
     ``first_edge`` forces the first pivot (for reproducing the worked
     failure example); no positive edges left -> singletons."""
-    t0 = time.perf_counter()
     pos = _as_signs(signs)
     rng = np.random.default_rng(seed)
     remaining = set(range(1, n + 1))
@@ -115,4 +109,4 @@ def pivot_edge_baseline(
             frontier = nxt
         remaining -= cluster
         clusters.append(cluster)
-    return _finish_report(clusters, n, "pivot-edge", seed, mixed, t0)
+    return _finish_report(clusters, n, "pivot-edge", seed, mixed)

@@ -136,7 +136,7 @@ def _emit(payload: dict, out: str | None) -> None:
 def _cmd_solve(args) -> int:
     if args.lp_dump:
         problem = LpProblem.from_text(args.lp_dump)
-        cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations, engine="scipy")
+        cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations)
         result = solve(problem, cfg)
         payload = {
             "status": result.status,
@@ -150,7 +150,7 @@ def _cmd_solve(args) -> int:
                 fh.write("\n")
         return EXIT_OK if result.status == "optimal" else EXIT_SOLVER
     report = run(_config_from_args(args))
-    print(report.to_json())
+    print(report.text)
     return EXIT_OK
 
 

@@ -10,7 +10,6 @@ and the Bell numbers in the tests.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -35,7 +34,6 @@ class ClusteringReport:
     lp_value: float | None = None
     certified_ratio: float | None = None
     seed: int | None = None
-    wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -127,7 +125,6 @@ def exact_min_disagree(
     Deterministic tie-break: the first optimum in restricted-growth-string
     order wins.  Refuses n above ``cap`` (Bell growth).
     """
-    t0 = time.perf_counter()
     n = _graph_n(mixed, n)
     if n > cap:
         raise SizeLimitError(
@@ -161,9 +158,7 @@ def exact_min_disagree(
     flush()
     partition = Partition.from_assignment(list(best_rgs), n=n)
     cost = evaluate_objective(partition, mixed)
-    return ClusteringReport(
-        partition, cost, "exact-enumeration", wall_time=time.perf_counter() - t0
-    )
+    return ClusteringReport(partition, cost, "exact-enumeration")
 
 
 def total_weight(mixed: MixedWeights, n: int | None = None) -> float:
@@ -181,7 +176,6 @@ def maxagree_2approx(mixed: MixedWeights, n: int | None = None) -> ClusteringRep
     """Better of all-singletons and one-cluster under the agreement
     objective; a 2-approximation because the two agreements sum to at least
     the total weight."""
-    t0 = time.perf_counter()
     n = _graph_n(mixed, n)
     cands = [Partition.singletons(n), Partition.one_cluster(n)]
     scored = [(agreement(p, mixed), -i, p) for i, p in enumerate(cands)]
@@ -190,7 +184,6 @@ def maxagree_2approx(mixed: MixedWeights, n: int | None = None) -> ClusteringRep
         best,
         evaluate_objective(best, mixed),
         "maxagree-2approx",
-        wall_time=time.perf_counter() - t0,
         extra={"agreement": float(best_agree), "choice": ["singletons", "one-cluster"][-negi]},
     )
     return report

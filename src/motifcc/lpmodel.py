@@ -514,7 +514,12 @@ def _names(source, rows: np.ndarray | None = None, triangles=()) -> list[str]:
     """Row names from a list or the function formatting them, at ``rows``, then ``triangles``' rows."""
     names = source() if callable(source) else source
     names = names if rows is None else [names[i] for i in rows.tolist()]
-    return names + [f"tri_{a}_{b}_{c}_a{x}" for a, b, c, x in np.asarray(triangles).tolist()]
+    return names + [triangle_row_name(*t) for t in np.asarray(triangles).tolist()]
+
+
+def triangle_row_name(a: int, b: int, c: int, apex: int) -> str:
+    """Row name of the triangle row (a, b, c, apex), as ``all_triangles`` and ``separate_triangles`` list it."""
+    return f"tri_{a}_{b}_{c}_a{apex}"
 
 
 def _triples(n: int) -> np.ndarray:

@@ -28,7 +28,8 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -60,6 +61,7 @@ from .lpmodel import (
     induced_point,
     per_class_breakdown,
     separate_triangles,
+    triangle_row_name,
 )
 from .motifs import MixedWeights, build_table1_weights, weights_from_config
 from .generators import (
@@ -144,7 +146,8 @@ class Report:
     schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        # every field holds plain JSON values already: no deep copy
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def to_json(self, *, with_timings: bool = True) -> str:
         d = self.to_json_dict()
@@ -152,9 +155,14 @@ class Report:
             d.pop("timings")
         return json.dumps(d, sort_keys=True, indent=1)
 
+    @cached_property
+    def text(self) -> str:
+        """``to_json()``, formatted once: ``write`` and ``motifcc solve`` emit this text."""
+        return self.to_json()
+
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+            fh.write(self.text + "\n")
 
     @property
     def partition(self) -> Partition:
@@ -268,15 +276,14 @@ def solve_relaxation(
     ``core`` plus the active rows (in ``build_lp3`` order), which the check
     stage verifies, left-out tuple rows included.
 
-    ``start`` (a point of ``core``, sliced to the kept columns) seeds the
-    in-repo simplex.  With HiGHS every round solves in one ``HighsModel``:
+    ``start`` (a point of ``core``) seeds the in-repo simplex, which the
+    pipeline runs on LP1 only; LP1 has no pair columns, so no column is
+    left out.  With HiGHS every round solves in one ``HighsModel``:
     the rows a round adds go after the rows already there, and HiGHS
     re-optimizes from the previous optimal basis.  A failed round raises
     SolverFailureError naming the round.
     """
     reduced, lift = drop_zero_cost_tuples(core)
-    if start is not None:
-        start = start[lift.kept]
     model = HighsModel() if config.engine == "scipy" else None
     problem = reduced
     active = np.empty((0, 4), dtype=np.int64)
@@ -401,10 +408,9 @@ def run(config: RunConfig) -> Report:
             raise SolverFailureError(f"LP point infeasible: {check.summary()}, first {check.violations[0]}")
         missed = separate_triangles(problem, solution.values, config.certificate_tol)
         if len(missed):
-            a, b, c, apex = missed[0].tolist()
             raise SolverFailureError(
                 f"LP point violates {len(missed)} omitted triangle rows "
-                f"(first tri_{a}_{b}_{c}_a{apex}) at tol {config.certificate_tol:g}"
+                f"(first {triangle_row_name(*missed[0].tolist())}) at tol {config.certificate_tol:g}"
             )
     with stage("round", timings):
         rec = choose_params(config, mixed, relaxation, n)

@@ -6,7 +6,7 @@ Design notes:
   sense (<= : [0, inf), >= : (-inf, 0], = : [0, 0]), so rows keep the
   orientation they were built with.
 * The starting basis is all slacks.  Any basis reachable from it is
-  [some structural columns | unit slack columns]; factoring it reduces to a
+  [some structural columns | slack columns]; factoring it reduces to a
   p x p sparse LU (scipy splu) on the rows not covered by basic slacks,
   where p = number of basic structural columns.  Between refactorizations
   pivots are absorbed by a product-form eta file (kernels.ftran_etas /
@@ -22,18 +22,20 @@ Design notes:
   every ten pivots and sets the schedule.  The eta file is allocated once
   per solve with room for the budget plus one full column and is emptied,
   never reallocated, at each refactorization.
-* Slack and artificial columns are never multiplied out: the pricing row
-  and the reduced costs take the structural part from a transposed copy of
-  the constraint matrix and each unit column from its row and sign.
+* Slack columns are never multiplied out: the pricing row and the reduced
+  costs take the structural part from a transposed copy of the constraint
+  matrix and the slack part from the row prices themselves.
 * Pricing is devex (Forrest-Goldfarb reference weights, lowest index on
   ties), with an automatic switch to Bland's rule after a run of
   degenerate pivots, which restores the anti-cycling guarantee; the ratio
   test is a Harris-style two-pass with bound flips, evaluated only at the
   basis positions the entering column moves.
-* Infeasible starts go through a phase-1 with artificial columns.  The
-  only LP the pipeline gives this simplex is LP1, which has b = 0 and
-  starts feasible at the origin, so phase 1 runs only for a warm start
-  gone wrong or an LP handed in from Python (dumps go to HiGHS).
+* There is no phase 1: the start (the origin, or ``start_values`` snapped
+  to their bounds) must satisfy every row within ``tol``, and a start that
+  does not is refused with InvalidParameterError.  Every LP the builders
+  write has only ``<= 0`` rows over [0, 1] columns, so it holds at the
+  origin and at every partition's induced point.  Any other LP goes to
+  HiGHS, the default engine.
 * The pipeline runs this simplex on LP1 only, from the greedy warm start.
   LP2/LP3 and ``--lp-dump`` go to HiGHS (engine ``"scipy"``): the copy
   scipy bundles, loaded by ``highs_core`` without importing
@@ -72,9 +74,13 @@ BLAND_TRIGGER = 20_000  # degenerate pivots in a row before switching to Bland's
 
 @dataclass
 class SolverConfig:
+    """How ``solve`` runs.  ``engine`` "scipy" (the default) is scipy's
+    bundled HiGHS, which takes any LP; "simplex" is the in-repo simplex,
+    which takes only an LP whose start satisfies every row (no phase 1)."""
+
     tol: float = 1e-7  # primal feasibility and dual optimality tolerance
     max_iterations: int = 200_000
-    engine: str = "simplex"  # "simplex" (in-repo) | "scipy" (scipy's bundled HiGHS)
+    engine: str = "scipy"  # "scipy" | "simplex"
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -89,12 +95,12 @@ class SolverConfig:
 class SolverResult:
     status: str  # optimal | infeasible | unbounded | iteration-limit | other HiGHS model status
     solution: FractionalSolution | None
-    iterations: int  # all phases; HiGHS: its simplex_iteration_count for this run
+    iterations: int  # HiGHS: its simplex_iteration_count for this run
     wall_time: float
     # in-repo simplex only (0 from HiGHS)
     pivots: int = 0
     bound_flips: int = 0
-    phase1_iterations: int = 0
+    phase1_iterations: int = 0  # always 0: the in-repo simplex has no phase 1
     refactors: int = 0  # sparse LU factorizations (splu calls)
 
 
@@ -181,22 +187,20 @@ def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
 
 
 class _Basis:
-    """Factorized basis exploiting unit columns (slacks and artificials).
+    """Factorized basis exploiting the slack columns.
 
-    ``unit_row[j] >= 0`` marks column j as ``unit_sign[j] * e_{unit_row[j]}``;
-    every basic unit column covers its row, and only the remaining p rows
-    need the sparse LU of the structural block.
+    ``A_ext`` is [A | I]: column ``n + i`` is the slack e_i of row i.  Every
+    basic slack covers its row, and only the remaining p rows need the
+    sparse LU of the structural block.
     """
 
-    def __init__(self, A_ext: sp.csc_matrix, basic: np.ndarray,
-                 n_rows: int, unit_row: np.ndarray, unit_sign: np.ndarray):
-        m = n_rows
+    def __init__(self, A_ext: sp.csc_matrix, basic: np.ndarray, n: int):
+        m = A_ext.shape[0]
         self.m = m
-        struct_mask = unit_row[basic] < 0
+        struct_mask = basic < n
         self.spos = np.nonzero(struct_mask)[0]
         self.lpos = np.nonzero(~struct_mask)[0]
-        self.slack_rows = unit_row[basic[self.lpos]]
-        self.signs = unit_sign[basic[self.lpos]].astype(float)
+        self.slack_rows = basic[self.lpos] - n
         covered = np.zeros(m, dtype=bool)
         covered[self.slack_rows] = True
         self.F = np.nonzero(~covered)[0]
@@ -207,7 +211,7 @@ class _Basis:
         if self.p:
             cols = A_ext[:, basic[self.spos]]
             sub = cols[self.F, :]
-            # rows covered by basic unit columns, sliced once (hot path below);
+            # rows covered by basic slacks, sliced once (hot path below);
             # sorted indices keep the matvec summation order canonical
             self.slack_block = cols[self.slack_rows, :]
             self.slack_block.sort_indices()
@@ -225,15 +229,15 @@ class _Basis:
         if self.p:
             w_s = self.lu.solve(v[self.F])
             w[self.spos] = w_s
-            w[self.lpos] = (v[self.slack_rows] - self.slack_block @ w_s) / self.signs
+            w[self.lpos] = v[self.slack_rows] - self.slack_block @ w_s
         else:
-            w[self.lpos] = v[self.slack_rows] / self.signs
+            w[self.lpos] = v[self.slack_rows]
         return w
 
     def btran(self, v: np.ndarray) -> np.ndarray:
         """Solve B^T y = v; v in basis-position space, y in row space."""
         y = np.empty(self.m)
-        y_c = v[self.lpos] / self.signs
+        y_c = v[self.lpos]
         y[self.slack_rows] = y_c
         if self.p:
             rhs = v[self.spos] - self.slack_block_T @ y_c
@@ -306,23 +310,21 @@ class _Workspace:
         self.m, self.n = m, n
         slack_lb = np.where(problem.senses == 1, -np.inf, 0.0)
         slack_ub = np.where(problem.senses == -1, np.inf, 0.0)
-        slack_ub[problem.senses == 1] = 0.0
-        slack_lb[problem.senses == -1] = 0.0
         self.lb = np.concatenate([problem.lb, slack_lb])
         self.ub = np.concatenate([problem.ub, slack_ub])
         self.A = sp.hstack([problem.A, sp.eye(m, format="csc")], format="csc")
-        # structural rows of A^T; unit columns are priced from unit_row/unit_sign
+        # structural rows of A^T; the slack columns price as the row prices
         self.AT_struct = self.A[:, :n].T
         self.b = problem.rhs.copy()
         self.c = np.concatenate([problem.obj, np.zeros(m)])
         self.N = n + m
-        # unit-column map: slacks (and later artificials) are +-e_row columns
-        self.unit_row = np.concatenate([np.full(n, -1, dtype=np.int64), np.arange(m, dtype=np.int64)])
-        self.unit_sign = np.concatenate([np.zeros(n), np.ones(m)])
         self.vstat = np.full(self.N, AT_LOWER, dtype=np.int8)
-        self.bounds_changed()
-        finite_ub = np.isfinite(self.ub[:n])
+        self.free = self.ub - self.lb > 0
         if start_values is not None:
+            if np.shape(start_values) != (n,):
+                shape = np.shape(start_values)
+                raise InvalidParameterError(f"start_values has shape {shape}, the LP has {n} columns")
+            finite_ub = np.isfinite(self.ub[:n])
             mid = (problem.lb + np.where(finite_ub, self.ub[:n], problem.lb + 2.0)) / 2.0
             self.vstat[:n] = np.where(start_values > mid, AT_UPPER, AT_LOWER)
         self.basic = np.arange(n, self.N, dtype=np.int64)
@@ -349,12 +351,8 @@ class _Workspace:
         x[self.basic] = 0.0
         return x
 
-    def bounds_changed(self):
-        """Recompute what is cached from ``lb``/``ub`` (phase 1 edits them)."""
-        self.free = self.ub - self.lb > 0
-
     def refactor(self):
-        self.basis = _Basis(self.A, self.basic, self.m, self.unit_row, self.unit_sign)
+        self.basis = _Basis(self.A, self.basic, self.n)
         if self.basis.lu is not None:
             self.refactors += 1
         self.etas.clear()
@@ -376,10 +374,10 @@ class _Workspace:
         return v
 
     def row_of(self, y: np.ndarray) -> np.ndarray:
-        """``y @ A`` without multiplying through the unit columns."""
+        """``y @ A`` without multiplying through the slack columns."""
         out = np.empty(self.N)
         out[: self.n] = self.AT_struct @ y
-        np.multiply(self.unit_sign[self.n :], y[self.unit_row[self.n :]], out=out[self.n :])
+        out[self.n :] = y
         return out
 
     def full_values(self) -> np.ndarray:
@@ -403,9 +401,8 @@ class _Workspace:
 
     # ---------------------------------------------------------- iterations
 
-    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        y = self.btran(cost[self.basic].astype(float))
-        return cost - self.row_of(y)
+    def reduced_costs(self) -> np.ndarray:
+        return self.c - self.row_of(self.btran(self.c[self.basic]))
 
     def choose_entering(self, d: np.ndarray, use_bland: bool) -> int:
         free = self.free
@@ -437,15 +434,15 @@ class _Workspace:
         if self.devex[nonbasic].max() > 1e8:  # reference framework went stale
             self.devex[:] = 1.0
 
-    def step(self, cost: np.ndarray, use_bland: bool) -> str:
+    def step(self, use_bland: bool) -> str:
         """One simplex iteration; returns 'optimal', 'unbounded' or 'step'."""
         if self.d is None:
-            self.d = self.reduced_costs(cost)
+            self.d = self.reduced_costs()
         j = self.choose_entering(self.d, use_bland)
         if j < 0:
             # cached costs may have drifted since the last refactor;
             # declare optimality only against freshly computed ones
-            self.d = self.reduced_costs(cost)
+            self.d = self.reduced_costs()
             j = self.choose_entering(self.d, use_bland)
             if j < 0:
                 return "optimal"
@@ -482,7 +479,7 @@ class _Workspace:
         if abs(w[r]) < 1e-11:
             if self.pivots_since_refactor:
                 self.refactor()
-                return self.step(cost, use_bland)
+                return self.step(use_bland)
             raise SolverFailureError("numerically singular pivot column")
         t = max(strict[k], 0.0)
         leaving = int(self.basic[r])
@@ -502,12 +499,11 @@ class _Workspace:
         self.absorb_pivot(r, j, w, abs_w, t)
         return "step"
 
-    def run_phase(self, cost: np.ndarray) -> str:
-        self.d = None  # cost vector may differ from the previous phase
+    def run(self) -> str:
         while True:
             if self.iterations >= self.cfg.max_iterations:
                 return "iteration-limit"
-            outcome = self.step(cost, self.degenerate_run >= BLAND_TRIGGER)
+            outcome = self.step(self.degenerate_run >= BLAND_TRIGGER)
             if outcome != "step":
                 return outcome
             self.iterations += 1
@@ -634,13 +630,16 @@ def solve(
     start_values: np.ndarray | None = None,
     model: HighsModel | None = None,
 ) -> SolverResult:
-    """Minimize the problem to optimality with ``config.engine``.
+    """Minimize the problem to optimality with ``config.engine``: HiGHS by
+    default, which takes any LP, or the in-repo simplex, which takes only
+    an LP whose start is feasible (see the module notes).
 
     ``start_values`` (length num_vars; in-repo simplex only) seeds the
     initial nonbasic bound statuses — useful when a near-optimal vertex is
-    known (each value snaps to its nearer bound; the slack basis stays
-    feasible for any snap when b = 0 problems start at a partition's
-    induced point).
+    known, such as a partition's induced point.  Each value snaps to its
+    nearer bound, and the snapped point must satisfy every row within
+    ``config.tol``; without it the start is the lower bounds.  A start that
+    violates a row raises InvalidParameterError.
 
     ``model`` (HiGHS only) is the instance to solve in: given the one an
     earlier solve used, HiGHS adds the rows ``problem`` has past it and
@@ -649,73 +648,25 @@ def solve(
     config = config or SolverConfig()
     t0 = time.perf_counter()
     if config.engine == "scipy":
+        if start_values is not None:
+            raise InvalidParameterError("start_values seed the in-repo simplex (engine 'simplex'), not HiGHS")
         return _solve_highs(problem, config, model or HighsModel(), t0)
+    if model is not None:
+        raise InvalidParameterError("model is a HiGHS instance (engine 'scipy'), not one of the in-repo simplex")
     ws = _Workspace(problem, config, start_values)
     ws.refactor()
-    phase1_iters = 0
-
-    def result(status: str, sol: FractionalSolution | None = None) -> SolverResult:
-        return SolverResult(status, sol, ws.iterations, time.perf_counter() - t0, ws.total_pivots,
-                            ws.total_flips, phase1_iters, ws.refactors)
-
-    feas = config.tol
-    violated = (ws.xB < ws.lb[ws.basic] - feas) | (ws.xB > ws.ub[ws.basic] + feas)
-    if violated.any():
-        status = _phase1(ws, violated)
-        phase1_iters = ws.iterations
-        if status != "optimal":
-            if status == "unbounded":
-                raise SolverFailureError("phase 1 unbounded: inconsistent standard form")
-            return result(status)
-        art_cost = np.zeros(ws.N)
-        art_cost[ws.n + ws.m :] = 1.0
-        if float(art_cost[ws.basic] @ ws.xB) > 1e-6:
-            return result("infeasible")
-        # freeze artificials at zero for phase 2
-        ws.lb[ws.n + ws.m :] = 0.0
-        ws.ub[ws.n + ws.m :] = 0.0
-        ws.bounds_changed()
-        ws.c = np.concatenate([ws.c, np.zeros(ws.N - len(ws.c))])
-        ws.devex[:] = 1.0  # fresh reference framework for phase 2
-
-    status = ws.run_phase(ws.c)
-    if status != "optimal":
-        return result(status)
-    x = ws.full_values()[: problem.num_vars]
-    obj = float(problem.obj @ x) + problem.offset
-    return result("optimal", FractionalSolution(problem.var_ids, x, obj, "optimal"))
-
-
-def _phase1(ws: _Workspace, violated: np.ndarray) -> str:
-    """Install artificial columns on the violated rows and minimize their sum."""
-    rows = np.nonzero(violated)[0]
-    sl = ws.lb[ws.basic[rows]]
-    su = ws.ub[ws.basic[rows]]
-    snapped = np.clip(ws.xB[rows], np.where(np.isfinite(sl), sl, 0.0), np.where(np.isfinite(su), su, 0.0))
-    resid = ws.xB[rows] - snapped
-    signs = np.sign(resid)
-    # slack leaves the basis at its snapped bound, artificial takes its place
-    n_art = len(rows)
-    art = sp.csc_matrix((signs, (rows, np.arange(n_art))), shape=(ws.m, n_art))
-    ws.A = sp.hstack([ws.A, art], format="csc")
-    ws.lb = np.concatenate([ws.lb, np.zeros(n_art)])
-    ws.ub = np.concatenate([ws.ub, np.full(n_art, np.inf)])
-    ws.bounds_changed()
-    art_ids = np.arange(ws.N, ws.N + n_art, dtype=np.int64)
-    ws.N += n_art
-    ws.vstat = np.concatenate([ws.vstat, np.full(n_art, BASIC, dtype=np.int8)])
-    ws.unit_row = np.concatenate([ws.unit_row, rows.astype(np.int64)])
-    ws.unit_sign = np.concatenate([ws.unit_sign, signs.astype(float)])
-    ws.devex = np.ones(ws.N)
-    # phase 1 only ever runs off the initial all-slack basis, where position
-    # i holds the slack of row i
-    for i, posn in enumerate(rows):
-        slack_var = int(ws.basic[posn])
-        lo = ws.lb[slack_var]
-        at_lower = np.isfinite(lo) and abs(snapped[i] - lo) <= 1e-12
-        ws.vstat[slack_var] = AT_LOWER if at_lower else AT_UPPER
-        ws.basic[posn] = art_ids[i]
-    ws.refactor()
-    cost = np.zeros(ws.N)
-    cost[art_ids] = 1.0
-    return ws.run_phase(cost)
+    # the basis holds the slack of row i at position i
+    bad = np.nonzero((ws.xB < ws.lb[ws.basic] - config.tol) | (ws.xB > ws.ub[ws.basic] + config.tol))[0]
+    if len(bad):
+        i = int(bad[0])
+        raise InvalidParameterError(
+            f"the start violates {len(bad)} rows of {problem.name} (first {problem.row_names[i]}); "
+            "the in-repo simplex has no phase 1, solve this LP with engine 'scipy'"
+        )
+    status = ws.run()
+    solution = None
+    if status == "optimal":
+        x = ws.full_values()[: problem.num_vars]
+        solution = FractionalSolution(problem.var_ids, x, float(problem.obj @ x) + problem.offset, "optimal")
+    return SolverResult(status, solution, ws.iterations, time.perf_counter() - t0, ws.total_pivots,
+                        ws.total_flips, 0, ws.refactors)

@@ -44,7 +44,7 @@ from motifcc.lpmodel import (
 from motifcc.motifs import MixedWeights, MotifClass, MotifWeights, WeightRule
 from motifcc.pipeline import RunConfig, greedy_partition, run
 from motifcc.rounding import certify, recommended_params, round_alg1, round_alg2
-from motifcc.simplex import solve, verify_solution
+from motifcc.simplex import SolverConfig, solve, verify_solution
 
 from conftest import all_partitions
 from test_lpmodel import brute_force_upsilon
@@ -69,10 +69,10 @@ UNIFORM_K2 = WeightRule(
 
 
 def warm_solve(problem, mixed, n):
-    """Solve from the induced point of the greedy partition, as the
-    pipeline does; asserts optimality."""
+    """Solve on the in-repo simplex from the induced point of the greedy
+    partition, as the pipeline does for LP1; asserts optimality."""
     start = induced_point(greedy_partition(mixed, n), problem).values
-    result = solve(problem, start_values=start)
+    result = solve(problem, SolverConfig(engine="simplex"), start_values=start)
     assert result.status == "optimal"
     return result
 

@@ -1,7 +1,11 @@
-"""Source hygiene: no unused imports in the package, and every CLI command
-in the README's quick start still parses."""
+"""Source hygiene: no unused imports in the package, every CLI command
+in the README's quick start still parses, and the README's weight-spec and
+Python API examples run."""
 
 import ast
+import contextlib
+import io
+import json
 import re
 import shlex
 from pathlib import Path
@@ -81,3 +85,29 @@ def test_quick_start_command_parses(command):
     argv = shlex.split(command)[1:]
     args = cli.build_parser().parse_args(argv)
     assert args.command == argv[0]
+
+
+def readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block after ``heading`` in the README."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.search(rf"{re.escape(heading)}\n.*?```{lang}\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_weight_spec_solves(tmp_path):
+    spec = tmp_path / "weights.json"
+    spec.write_text(readme_block("### Weight specs", "json"), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["solve", "--generator", "fig2a", "--weights", str(spec)]) == cli.EXIT_OK
+    report = json.loads(out.getvalue())
+    assert report["relaxation"] == "LP3"
+    assert report["lp_value"] == pytest.approx(6.0309, abs=1e-4)
+
+
+def test_readme_python_api_runs(capsys):
+    scope = {}
+    exec(compile(readme_block("## Python API", "python"), "README.md", "exec"), scope)
+    result = scope["result"]
+    assert result.status == "optimal" and result.pivots == 0 < result.iterations  # solved on HiGHS
+    assert sorted(map(sorted, scope["part"].clusters)) == [[1, 2, 3], [4, 5, 6]]
+    assert capsys.readouterr().out.startswith("(frozenset({1, 2, 3}), frozenset({4, 5, 6})) 6.86666")

@@ -335,6 +335,10 @@ class TestInducedPoint:
         else:
             lp = build_lp3(mmcc, n)
             mixed = mmcc
+        # only <= 0 rows over [0, 1] columns: the origin and every induced
+        # point are feasible starts for the in-repo simplex
+        assert np.all(lp.senses == -1) and np.all(lp.rhs == 0.0)
+        assert np.all(lp.lb == 0.0) and np.all(lp.ub == 1.0)
         for labels in all_partitions(n):
             part = Partition.from_assignment(labels, n=n)
             point = induced_point(part, lp)

@@ -297,7 +297,7 @@ class TestRun:
         mixed = resolve_weights(RunConfig(weights="fig2"), graph)
         core = pipeline.build_relaxation("LP1", mixed, graph.n)
         start = induced_point(greedy_partition(mixed, graph.n), core).values
-        cfg = simplex.SolverConfig()
+        cfg = simplex.SolverConfig(engine="simplex")
         warm = pipeline.solve_relaxation(core, cfg, start).solution
         cold = pipeline.solve_relaxation(core, cfg, None).solution
         assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-7)

@@ -1,5 +1,6 @@
-"""Solver correctness: random cross-validation against HiGHS, phases,
-warm starts, determinism, and the feasibility checker."""
+"""Solver correctness: random cross-validation of the in-repo simplex
+against HiGHS, statuses, the start contract, warm starts, determinism, and
+the feasibility checker."""
 
 import numpy as np
 import pytest
@@ -64,15 +65,13 @@ def v(name):
 
 
 def random_problem(rng, n_vars=6, n_rows=8):
-    """Random bounded LP with mixed senses.
-
-    Most instances anchor each right-hand side at a random interior point so
-    they are feasible by construction; the rest use raw random right-hand
-    sides, which with equality rows over a box are almost always infeasible.
-    Both statuses therefore appear in a sweep.
+    """Random LP that starts feasible at the origin, as the in-repo simplex
+    requires: ``<=`` rows with rhs >= 0 (about a third of them 0, like the
+    builders' rows, which makes degenerate pivots), over columns in [0, ub]
+    with ub in {1, 2, 5, inf}.  An unbounded column can make the LP
+    unbounded, so both statuses appear in a sweep.
     """
-    ub = rng.choice([1.0, 2.0, 5.0], size=n_vars)
-    anchor = rng.uniform(0.0, ub) if rng.random() < 0.7 else None
+    ub = rng.choice([1.0, 2.0, 5.0, np.inf], size=n_vars)
     var_ids = [v(f"t{j}") for j in range(n_vars)]
     constraints = []
     for i in range(n_rows):
@@ -80,45 +79,59 @@ def random_problem(rng, n_vars=6, n_rows=8):
         cols = rng.choice(n_vars, size=nnz, replace=False)
         terms = [(var_ids[j], float(np.round(rng.normal(), 3))) for j in sorted(cols)]
         terms = [(vid, c) for vid, c in terms if c != 0.0] or [(var_ids[0], 1.0)]
-        sense = ["<=", ">=", "="][rng.integers(0, 3)]
-        if anchor is None:
-            rhs = float(np.round(rng.normal(), 3))
-        else:
-            at_anchor = sum(c * anchor[int(vid.key[0][1:])] for vid, c in terms)
-            slack = float(np.round(abs(rng.normal()), 3))
-            rhs = at_anchor + {"<=": slack, ">=": -slack, "=": 0.0}[sense]
-        constraints.append(LinearConstraint(f"r{i}", terms, sense, rhs))
+        rhs = 0.0 if rng.random() < 0.35 else float(np.round(abs(rng.normal()), 3))
+        constraints.append(LinearConstraint(f"r{i}", terms, "<=", rhs))
     obj = {vid: float(np.round(rng.normal(), 3)) for vid in var_ids}
     return make_problem("rand", constraints, obj, ub=ub)
+
+
+SIMPLEX = SolverConfig(engine="simplex")
 
 
 class TestAgainstScipy:
     def test_random_sweep(self):
         """Same status and optimal value as HiGHS on 60 random LPs."""
-        agree_optimal = 0
+        statuses = []
         for seed in range(60):
             rng = np.random.default_rng(seed)
             problem = random_problem(rng)
-            ours = solve(problem)
-            ref = solve(problem, SolverConfig(engine="scipy"))
+            ours = solve(problem, SIMPLEX)
+            ref = solve(problem)
             assert ours.status == ref.status, f"seed {seed}"
+            statuses.append(ours.status)
             if ours.status == "optimal":
-                agree_optimal += 1
                 assert ours.solution.objective_value == pytest.approx(
                     ref.solution.objective_value, abs=1e-6
                 ), f"seed {seed}"
                 assert verify_solution(problem, ours.solution, tol=1e-6).ok
-        assert agree_optimal >= 20  # the sweep must actually exercise optima
+        # the sweep must actually exercise optima, and some unbounded LPs
+        assert statuses.count("optimal") >= 20 and "unbounded" in statuses
+
+    def test_ge_rows_feasible_at_the_start(self):
+        """The same LPs with some rows written as -a x >= -b: the simplex
+        takes any sense whose row holds at the start, and its ``>=`` slacks
+        have no lower bound."""
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            problem = random_problem(rng)
+            flip = np.where(rng.random(problem.num_rows) < 0.5, -1.0, 1.0)
+            problem.A = sp.diags(flip) @ problem.A
+            problem.rhs = flip * problem.rhs
+            problem.senses = np.where(flip < 0, 1, -1).astype(np.int8)
+            ours, ref = solve(problem, SIMPLEX), solve(problem)
+            assert ours.status == ref.status, f"seed {seed}"
+            if ours.status == "optimal":
+                assert ours.solution.objective_value == pytest.approx(ref.solution.objective_value, abs=1e-6)
 
     @pytest.mark.parametrize("rule", ["devex", "bland"])
     def test_pivot_rules_agree(self, rule, monkeypatch):
         if rule == "bland":  # switch to Bland's rule from the first pivot
             monkeypatch.setattr(simplex, "BLAND_TRIGGER", 0)
-        for seed in (3, 14, 41):
+        for seed in sorted(PINNED_BLAND):
             rng = np.random.default_rng(seed)
             problem = random_problem(rng)
-            ref = solve(problem, SolverConfig(engine="scipy"))
-            ours = solve(problem)
+            ref = solve(problem)
+            ours = solve(problem, SIMPLEX)
             assert ours.status == ref.status
             if ref.status == "optimal":
                 assert ours.solution.objective_value == pytest.approx(
@@ -126,28 +139,41 @@ class TestAgainstScipy:
                 )
 
 
+def infeasible_problem():
+    """Infeasible, and its start (the origin) violates the row."""
+    return make_problem("inf", [LinearConstraint("lo", [(v("a"), 1.0)], ">=", 2.0)], {v("a"): 1.0}, ub=[1.0])
+
+
+def infeasible_equality_pair():
+    return make_problem(
+        "inf2",
+        [
+            LinearConstraint("e1", [(v("a"), 1.0), (v("b"), 1.0)], "=", 1.5),
+            LinearConstraint("e2", [(v("a"), 1.0), (v("b"), 1.0)], "=", 0.5),
+        ],
+        {v("a"): 1.0},
+    )
+
+
+def equality_row_problem():
+    return make_problem(
+        "eq",
+        [LinearConstraint("e", [(v("a"), 1.0), (v("b"), 2.0)], "=", 2.0)],
+        {v("a"): 1.0, v("b"): 1.0},
+        ub=[2.0, 2.0],
+    )
+
+
 class TestStatuses:
+    """Infeasible and equality-row LPs start infeasible, so they are
+    HiGHS's (the default engine); ``TestStartContract`` has the simplex
+    refuse them."""
+
     def test_infeasible(self):
-        problem = make_problem(
-            "inf",
-            [
-                LinearConstraint("lo", [(v("a"), 1.0)], ">=", 2.0),
-            ],
-            {v("a"): 1.0},
-            ub=[1.0],
-        )
-        assert solve(problem).status == "infeasible"
+        assert solve(infeasible_problem()).status == "infeasible"
 
     def test_infeasible_equality_pair(self):
-        problem = make_problem(
-            "inf2",
-            [
-                LinearConstraint("e1", [(v("a"), 1.0), (v("b"), 1.0)], "=", 1.5),
-                LinearConstraint("e2", [(v("a"), 1.0), (v("b"), 1.0)], "=", 0.5),
-            ],
-            {v("a"): 1.0},
-        )
-        assert solve(problem).status == "infeasible"
+        assert solve(infeasible_equality_pair()).status == "infeasible"
 
     def test_unbounded(self):
         problem = make_problem(
@@ -156,44 +182,78 @@ class TestStatuses:
             {v("b"): -1.0},
             ub=[1.0, np.inf],
         )
+        assert solve(problem, SIMPLEX).status == "unbounded"
         assert solve(problem).status == "unbounded"
 
     def test_iteration_limit(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
-        res = solve(lp, SolverConfig(max_iterations=3))
+        res = solve(lp, SolverConfig(max_iterations=3, engine="simplex"))
         assert res.status == "iteration-limit"
         assert res.solution is None
 
     def test_scipy_iteration_limit(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
-        assert solve(lp, SolverConfig(engine="scipy")).iterations > 1
-        res = solve(lp, SolverConfig(max_iterations=1, engine="scipy"))
+        assert solve(lp).iterations > 1
+        res = solve(lp, SolverConfig(max_iterations=1))
         assert res.status == "iteration-limit"
         assert res.solution is None
 
     def test_equality_rows(self):
-        problem = make_problem(
-            "eq",
-            [
-                LinearConstraint("e", [(v("a"), 1.0), (v("b"), 2.0)], "=", 2.0),
-            ],
-            {v("a"): 1.0, v("b"): 1.0},
-            ub=[2.0, 2.0],
-        )
-        res = solve(problem)
+        res = solve(equality_row_problem())
         assert res.status == "optimal"
         # cheapest point on a + 2b = 2 with c = (1,1) is (0, 1)
         assert res.solution.objective_value == pytest.approx(1.0)
+
+
+class TestStartContract:
+    """The in-repo simplex has no phase 1: it refuses a start that violates
+    a row, and each engine refuses the other's argument."""
+
+    @pytest.mark.parametrize("make", [infeasible_problem, infeasible_equality_pair, equality_row_problem])
+    def test_simplex_refuses_an_infeasible_origin(self, make):
+        with pytest.raises(InvalidParameterError, match="no phase 1, solve this LP with engine 'scipy'"):
+            solve(make(), SIMPLEX)
+
+    def test_simplex_refuses_an_infeasible_start(self):
+        lp = build_lp1(next(iter(fig2_weights(make_fig2a().graph))).weights, 6)
+        assert solve(lp, SIMPLEX, start_values=np.zeros(lp.num_vars)).status == "optimal"
+        # x_K3 = 1 with x_K1 = x_K2 = 0 breaks the Upsilon row of (K3, K1, K2)
+        start = np.zeros(lp.num_vars)
+        start[lp.A[0].indices[lp.A[0].data > 0]] = 1.0
+        with pytest.raises(InvalidParameterError, match=r"violates \d+ rows of lp1_n6_k3 \(first ups0\)"):
+            solve(lp, SIMPLEX, start_values=start)
+        # each value snaps to its nearer bound: 0.4 starts at the origin
+        start[:] = 0.4
+        assert solve(lp, SIMPLEX, start_values=start).status == "optimal"
+
+    def test_start_values_must_fit_the_lp(self):
+        lp = build_lp1(next(iter(fig2_weights(make_fig2a().graph))).weights, 6)
+        with pytest.raises(InvalidParameterError, match=f"the LP has {lp.num_vars} columns"):
+            solve(lp, SIMPLEX, start_values=np.zeros(lp.num_vars - 1))
+
+    def test_highs_refuses_start_values(self):
+        lp = build_lp1(next(iter(fig2_weights(make_fig2a().graph))).weights, 6)
+        with pytest.raises(InvalidParameterError, match="start_values seed the in-repo simplex"):
+            solve(lp, start_values=np.zeros(lp.num_vars))
+
+    def test_simplex_refuses_a_highs_model(self):
+        lp = build_lp1(next(iter(fig2_weights(make_fig2a().graph))).weights, 6)
+        with pytest.raises(InvalidParameterError, match="model is a HiGHS instance"):
+            solve(lp, SIMPLEX, model=simplex.HighsModel())
+
+    def test_highs_is_the_default_engine(self):
+        assert SolverConfig().engine == "scipy"
+        assert solve(infeasible_problem()).refactors == 0
 
 
 class TestDeterminism:
     def test_identical_runs_pivot_for_pivot(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
-        r1 = solve(lp)
-        r2 = solve(lp)
+        r1 = solve(lp, SIMPLEX)
+        r2 = solve(lp, SIMPLEX)
         assert r1.iterations == r2.iterations
         assert (r1.pivots, r1.bound_flips) == (r2.pivots, r2.bound_flips)
         assert r1.solution.values.tobytes() == r2.solution.values.tobytes()
@@ -205,10 +265,10 @@ class TestWarmStart:
         # wander more than a cold one, it only pays off at scale
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
-        cold = solve(lp)
+        cold = solve(lp, SIMPLEX)
         part = Partition.from_cluster_list([[1, 2, 3], [4, 5, 6]])
         start = induced_point(part, lp).values
-        warm = solve(lp, start_values=start)
+        warm = solve(lp, SIMPLEX, start_values=start)
         assert warm.status == "optimal"
         assert warm.solution.objective_value == pytest.approx(
             cold.solution.objective_value, abs=1e-9
@@ -217,9 +277,9 @@ class TestWarmStart:
     def test_bad_warm_start_still_correct(self, two_triangle_graph):
         w = build_table1_weights("MCC", two_triangle_graph).layers[0].weights
         lp = build_lp2(w, 6)
-        cold = solve(lp)
+        cold = solve(lp, SIMPLEX)
         start = np.ones(lp.num_vars)  # everything split: feasible corner
-        warm = solve(lp, start_values=start)
+        warm = solve(lp, SIMPLEX, start_values=start)
         assert warm.solution.objective_value == pytest.approx(
             cold.solution.objective_value, abs=1e-9
         )
@@ -315,6 +375,8 @@ class TestVerifyAgainstLoop:
         for seed in range(40):
             rng = np.random.default_rng(900 + seed)
             problem = random_problem(rng, n_vars=7, n_rows=12)
+            problem.senses = rng.integers(-1, 2, size=problem.num_rows).astype(np.int8)
+            problem.rhs = np.round(rng.normal(size=problem.num_rows), 3)
             n = problem.num_vars
             problem.lb = np.where(rng.random(n) < 0.3, -np.inf, rng.uniform(-1.0, 0.0, size=n))
             problem.ub = np.where(rng.random(n) < 0.3, np.inf, problem.ub)
@@ -337,30 +399,27 @@ PINNED_FIG2 = {
     ("fig2b", "lp2"): (314, 312, 2, 2),
     ("fig2b", "lp1"): (246, 245, 1, 8),
 }
-# per seed of random_problem: (status, iterations, pivots, bound flips, phase-1 iterations)
+# per seed of random_problem: (status, iterations, pivots, bound flips)
 PINNED_RANDOM = [
-    ("inf", 9, 9, 0, 9), ("inf", 3, 3, 0, 3), ("inf", 6, 6, 0, 6), ("opt", 9, 9, 0, 7),
-    ("opt", 8, 8, 0, 6), ("opt", 5, 5, 0, 4), ("inf", 7, 7, 0, 7), ("opt", 11, 11, 0, 4),
-    ("inf", 2, 1, 1, 2), ("inf", 3, 3, 0, 3), ("opt", 9, 8, 1, 8), ("opt", 9, 9, 0, 9),
-    ("opt", 10, 10, 0, 6), ("opt", 8, 8, 0, 6), ("inf", 2, 2, 0, 2), ("inf", 6, 5, 1, 6),
-    ("inf", 6, 6, 0, 6), ("opt", 10, 9, 1, 8), ("inf", 10, 10, 0, 10), ("opt", 7, 7, 0, 5),
-    ("inf", 4, 3, 1, 4), ("opt", 11, 10, 1, 9), ("opt", 7, 6, 1, 6), ("opt", 6, 5, 1, 3),
-    ("inf", 4, 2, 2, 4), ("inf", 4, 3, 1, 4), ("inf", 5, 5, 0, 5), ("inf", 6, 6, 0, 6),
-    ("inf", 6, 5, 1, 6), ("opt", 6, 6, 0, 6), ("opt", 6, 5, 1, 5), ("opt", 9, 8, 1, 6),
-    ("inf", 5, 3, 2, 5), ("opt", 9, 8, 1, 7), ("opt", 5, 5, 0, 4), ("inf", 5, 5, 0, 5),
-    ("opt", 6, 6, 0, 4), ("inf", 1, 1, 0, 1), ("inf", 9, 9, 0, 9), ("inf", 4, 1, 3, 4),
-    ("inf", 11, 9, 2, 11), ("inf", 6, 6, 0, 6), ("inf", 6, 6, 0, 6), ("inf", 5, 5, 0, 5),
-    ("inf", 4, 4, 0, 4), ("opt", 8, 8, 0, 7), ("opt", 7, 7, 0, 4), ("inf", 4, 3, 1, 4),
-    ("opt", 12, 11, 1, 8), ("inf", 7, 5, 2, 7), ("inf", 5, 5, 0, 5), ("inf", 7, 7, 0, 7),
-    ("opt", 8, 6, 2, 6), ("inf", 4, 4, 0, 4), ("opt", 8, 8, 0, 8), ("inf", 4, 3, 1, 4),
-    ("inf", 4, 3, 1, 4), ("opt", 8, 8, 0, 7), ("inf", 10, 10, 0, 10), ("inf", 6, 5, 1, 6),
+    ("opt", 4, 4, 0), ("opt", 4, 4, 0), ("opt", 5, 5, 0), ("opt", 5, 4, 1), ("unb", 0, 0, 0),
+    ("opt", 2, 2, 0), ("opt", 3, 3, 0), ("opt", 5, 5, 0), ("opt", 3, 3, 0), ("opt", 5, 4, 1),
+    ("opt", 4, 2, 2), ("opt", 5, 5, 0), ("opt", 4, 3, 1), ("opt", 2, 2, 0), ("opt", 4, 3, 1),
+    ("opt", 3, 3, 0), ("opt", 3, 2, 1), ("opt", 2, 1, 1), ("unb", 8, 6, 2), ("opt", 1, 1, 0),
+    ("unb", 6, 5, 1), ("opt", 2, 2, 0), ("opt", 4, 3, 1), ("opt", 3, 2, 1), ("opt", 5, 4, 1),
+    ("opt", 3, 3, 0), ("opt", 2, 2, 0), ("opt", 5, 5, 0), ("opt", 2, 2, 0), ("opt", 6, 6, 0),
+    ("opt", 2, 2, 0), ("opt", 1, 1, 0), ("opt", 3, 3, 0), ("opt", 3, 2, 1), ("opt", 4, 4, 0),
+    ("unb", 3, 3, 0), ("opt", 6, 5, 1), ("opt", 2, 2, 0), ("opt", 2, 2, 0), ("opt", 2, 2, 0),
+    ("opt", 3, 3, 0), ("opt", 1, 1, 0), ("opt", 7, 7, 0), ("opt", 3, 2, 1), ("opt", 3, 3, 0),
+    ("opt", 5, 5, 0), ("opt", 4, 4, 0), ("opt", 1, 1, 0), ("opt", 1, 1, 0), ("opt", 2, 2, 0),
+    ("opt", 3, 3, 0), ("opt", 2, 2, 0), ("opt", 9, 9, 0), ("opt", 2, 1, 1), ("opt", 1, 1, 0),
+    ("opt", 1, 1, 0), ("opt", 4, 4, 0), ("unb", 4, 3, 1), ("unb", 11, 9, 2), ("opt", 3, 3, 0),
 ]
-PINNED_BLAND = {3: ("opt", 10, 10, 0, 9), 14: ("inf", 2, 2, 0, 2), 41: ("inf", 6, 6, 0, 6)}
+# Bland from the first pivot, on seeds where it moves the counts
+PINNED_BLAND = {2: ("opt", 9, 9, 0), 10: ("opt", 7, 7, 0), 18: ("unb", 10, 6, 4)}
 
 
 def counters(result):
-    return (result.status[:3], result.iterations, result.pivots, result.bound_flips,
-            result.phase1_iterations)
+    return (result.status[:3], result.iterations, result.pivots, result.bound_flips)
 
 
 class TestPivotForPivot:
@@ -377,7 +436,7 @@ class TestPivotForPivot:
             return splu(sub)
 
         monkeypatch.setattr(simplex, "splu", counted_splu)
-        res = solve(build(weights, fix.graph.n))
+        res = solve(build(weights, fix.graph.n), SIMPLEX)
         assert res.status == "optimal"
         got = (res.iterations, res.pivots, res.bound_flips, len(factorizations))
         assert got == PINNED_FIG2[(fixture, relaxation)]
@@ -387,8 +446,8 @@ class TestPivotForPivot:
         fix = make_fig2a() if fixture == "fig2a" else make_fig2b(10)
         weights = next(iter(fig2_weights(fix.graph))).weights
         lp = (build_lp1 if relaxation == "lp1" else build_lp2)(weights, fix.graph.n)
-        ours = solve(lp).solution.objective_value
-        ref = solve(lp, SolverConfig(engine="scipy")).solution.objective_value
+        ours = solve(lp, SIMPLEX).solution.objective_value
+        ref = solve(lp).solution.objective_value
         assert ours == pytest.approx(ref, rel=1e-9)
 
     def test_refactors_count_the_lu_factorizations(self, monkeypatch):
@@ -402,46 +461,35 @@ class TestPivotForPivot:
             return splu(sub)
 
         monkeypatch.setattr(simplex, "splu", counted_splu)
-        res = solve(lp)
+        res = solve(lp, SIMPLEX)
         assert res.refactors == len(calls) == PINNED_FIG2[("fig2b", "lp1")][3]
-        assert solve(lp, SolverConfig(engine="scipy")).refactors == 0
+        assert solve(lp).refactors == 0
 
     def test_random_lp_counts(self):
-        got = [counters(solve(random_problem(np.random.default_rng(seed)))) for seed in range(60)]
-        assert got == PINNED_RANDOM
+        results = [solve(random_problem(np.random.default_rng(seed)), SIMPLEX) for seed in range(60)]
+        assert [counters(r) for r in results] == PINNED_RANDOM
+        assert {r.phase1_iterations for r in results} == {0}
 
     def test_bland_counts(self, monkeypatch):
         monkeypatch.setattr(simplex, "BLAND_TRIGGER", 0)
         for seed, pinned in PINNED_BLAND.items():
-            assert counters(solve(random_problem(np.random.default_rng(seed)))) == pinned
+            assert counters(solve(random_problem(np.random.default_rng(seed)), SIMPLEX)) == pinned
 
 
 class TestInternals:
     def test_row_of_matches_full_product(self):
         rng = np.random.default_rng(5)
-        problem = random_problem(np.random.default_rng(0))  # needs phase 1
-        cfg = SolverConfig()
-        ws = simplex._Workspace(problem, cfg, None)
-        y = rng.normal(size=ws.m)
-        assert ws.row_of(y).tobytes() == (y @ ws.A).tobytes()
-        ws.refactor()
-        lb_b, ub_b = ws.lb[ws.basic], ws.ub[ws.basic]
-        violated = (ws.xB < lb_b - cfg.tol) | (ws.xB > ub_b + cfg.tol)
-        assert violated.any()
-        simplex._phase1(ws, violated)
-        assert ws.N > ws.n + ws.m  # artificial columns appended
-        assert (ws.unit_sign[ws.n + ws.m :] < 0).any()
-        y = rng.normal(size=ws.m)
-        assert ws.row_of(y).tobytes() == (y @ ws.A).tobytes()
+        ws = simplex._Workspace(random_problem(np.random.default_rng(0)), SIMPLEX, None)
+        for _ in range(3):
+            y = rng.normal(size=ws.m)
+            assert ws.row_of(y).tobytes() == (y @ ws.A).tobytes()
 
     def test_repeated_slack_row_is_singular(self):
-        # columns: one structural, slacks of rows 0 and 1, an artificial on row 0
-        A_ext = sp.csc_matrix(np.array([[1.0, 1.0, 0.0, -1.0], [1.0, 0.0, 1.0, 0.0]]))
-        unit_row = np.array([-1, 0, 1, 0])
-        unit_sign = np.array([0.0, 1.0, 1.0, -1.0])
-        simplex._Basis(A_ext, np.array([1, 2]), 2, unit_row, unit_sign)  # a valid basis
+        # columns: one structural, then the slacks of rows 0 and 1
+        A_ext = sp.csc_matrix(np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]))
+        simplex._Basis(A_ext, np.array([1, 2]), 1)  # a valid basis
         with pytest.raises(simplex.SolverFailureError, match="singular basis"):
-            simplex._Basis(A_ext, np.array([1, 3]), 2, unit_row, unit_sign)
+            simplex._Basis(A_ext, np.array([1, 1]), 1)  # row 0's slack twice
 
     def test_eta_file_never_reallocated(self, monkeypatch):
         fix = make_fig2b(10)
@@ -460,7 +508,7 @@ class TestInternals:
 
         monkeypatch.setattr(simplex._EtaFile, "append", spy_append)
         monkeypatch.setattr(simplex._Workspace, "refactor", spy_refactor)
-        assert solve(lp).status == "optimal"
+        assert solve(lp, SIMPLEX).status == "optimal"
         assert len(refactors) > 2 and set(refactors) == {0}
         first = seen[0]
         assert all(all(a is b for a, b in zip(arrays, first)) for arrays in seen)
