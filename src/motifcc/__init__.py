@@ -3,11 +3,10 @@
 Cluster the vertices of a (di)graph so that k-tuples carrying a motif tend
 to stay inside one cluster while motif-free tuples are split, minimizing
 total weighted disagreement.  The toolkit builds linear-programming
-relaxations over tuple and pair variables, solves them with scipy's
-bundled HiGHS (LP2/LP3) or a bounded-variable revised simplex (LP1),
-rounds the fractional solution
-with region-growing procedures, and certifies the resulting approximation
-ratio.  Exact enumeration and classical pivot heuristics are included for
+relaxations over tuple and pair variables, solves them on scipy's bundled
+HiGHS, adding the triangle or Upsilon rows each optimum violates, rounds
+the fractional solution with region-growing procedures, and certifies the
+resulting approximation ratio.  Exact enumeration and classical pivot heuristics are included for
 ground truth and comparison at small scale.
 """
 
@@ -73,13 +72,10 @@ from .rounding import (
 )
 from .exact import (
     ClusteringReport,
-    agreement,
     bell_number,
     exact_min_disagree,
-    maxagree_2approx,
     partitions_blocks,
     partitions_rgs,
-    total_weight,
 )
 from .baselines import pivot_edge_baseline, pivot_vertex_baseline
 from .generators import (
@@ -126,7 +122,6 @@ __all__ = [
     "UnsupportedMotifSizeError",
     "VarId",
     "WeightRule",
-    "agreement",
     "bell_number",
     "build_lp1",
     "build_lp2",
@@ -152,7 +147,6 @@ __all__ = [
     "make_fig2a",
     "make_fig2b",
     "make_layered_flow",
-    "maxagree_2approx",
     "misassigned_vertices",
     "partitions_blocks",
     "partitions_rgs",
@@ -165,7 +159,6 @@ __all__ = [
     "round_alg2",
     "run",
     "solve",
-    "total_weight",
     "verify_solution",
     "weights_from_config",
     "weights_to_config",

@@ -3,8 +3,8 @@
 Subcommands
 -----------
 solve     full pipeline (instance -> weights -> LP -> solve, adding the
-          violated triangle rows -> rounding -> certificate), or a
-          standalone HiGHS solve of a problem dump (--lp-dump)
+          violated triangle or Upsilon rows -> rounding -> certificate), or
+          a standalone HiGHS solve of a problem dump (--lp-dump)
 round     apply a rounding procedure to a saved fractional solution
 exact     exhaustive minimum-disagreement search (small n)
 baseline  randomized vertex- or edge-pivot heuristics
@@ -288,8 +288,8 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="motifcc",
-        description="Motif correlation clustering: LP relaxations, a bounded-variable "
-        "simplex solver and HiGHS, region-growing rounding, and certificates.",
+        description="Motif correlation clustering: LP relaxations solved by row "
+        "generation on HiGHS, region-growing rounding, and certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,10 +2,8 @@
 
 ``exact_min_disagree`` enumerates every set partition (restricted-growth
 strings, batched through the cost kernels) — the ground truth all other
-solvers are measured against at small n.  ``maxagree_2approx`` is the
-classical better-of-two heuristic for the complementary agreement
-objective.  Two independent partition enumerators cross-check each other
-and the Bell numbers in the tests.
+solvers are measured against at small n.  Two independent partition
+enumerators cross-check each other and the Bell numbers in the tests.
 """
 
 from __future__ import annotations
@@ -159,31 +157,3 @@ def exact_min_disagree(
     partition = Partition.from_assignment(list(best_rgs), n=n)
     cost = evaluate_objective(partition, mixed)
     return ClusteringReport(partition, cost, "exact-enumeration")
-
-
-def total_weight(mixed: MixedWeights, n: int | None = None) -> float:
-    """Σ_t λ_t Σ_K (w+ + w-) = Σ_t λ_t C(n, k_t) under probability weights."""
-    _graph_n(mixed, n)
-    return sum(layer.lam * len(layer.weights.tuple_table().wplus) for layer in mixed)
-
-
-def agreement(partition: Partition, mixed: MixedWeights) -> float:
-    """Complement objective: contained tuples earn w+, split tuples w-."""
-    return total_weight(mixed, partition.n) - evaluate_objective(partition, mixed)
-
-
-def maxagree_2approx(mixed: MixedWeights, n: int | None = None) -> ClusteringReport:
-    """Better of all-singletons and one-cluster under the agreement
-    objective; a 2-approximation because the two agreements sum to at least
-    the total weight."""
-    n = _graph_n(mixed, n)
-    cands = [Partition.singletons(n), Partition.one_cluster(n)]
-    scored = [(agreement(p, mixed), -i, p) for i, p in enumerate(cands)]
-    best_agree, negi, best = max(scored)
-    report = ClusteringReport(
-        best,
-        evaluate_objective(best, mixed),
-        "maxagree-2approx",
-        extra={"agreement": float(best_agree), "choice": ["singletons", "one-cluster"][-negi]},
-    )
-    return report

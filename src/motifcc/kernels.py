@@ -12,7 +12,6 @@ n+1 with slot 0 unused.  Tuple tables are int64 arrays of shape (T, k).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtrsv
 
 
 def active_backend() -> str:
@@ -61,32 +60,14 @@ def pair_min_scores(tuples, x, active, v):
     return y
 
 
-# ---------------------------------------------------------------- simplex etas
-#
-# An eta file holds k = ``len(pivots)`` product-form columns: eta e has row
-# indices ``idx[starts[e]:starts[e+1]]`` with values ``val[...]`` (the
-# column w_e) and replaces basis position ``pivots[e]`` = r_e.  Both kernels
-# apply the k etas at once in compact form.  With w~_e = w_e - e_{r_e} and
-# T the k x k lower-triangular matrix T[e,e] = w_e[r_e] (the pivot value),
-# T[e,f] = w~_f[r_e] for f < e,
-#
-#     E_k^-1 ... E_1^-1 = I - W~^T T^-1 S,
-#
-# where the rows of W~ are the w~_e and S picks rows r_1..r_k; a row
-# pivoted on more than once is covered too.  ftran solves T p = y[R] and
-# subtracts W~^T p; btran forms u = W~ y, solves T^T v = u and subtracts v
-# at R.  ``T`` is that k x k matrix (its upper triangle is never read).
-# Both kernels update ``y`` in place and return it.
+# ---------------------------------------------------------------- retired
 
 
-def ftran_etas(starts, idx, val, pivots, T, y):
-    p = dtrsv(T, y[pivots], lower=1)
-    y -= np.bincount(idx, weights=val * np.repeat(p, np.diff(starts)), minlength=y.shape[0])
-    np.add.at(y, pivots, p)
-    return y
+def ftran_etas(*args):
+    """The eta kernels went with the in-repo simplex.  The benchmark's
+    tracer (perfbench/tracer.py) still wraps these two names (ROADMAP item
+    1); nothing calls them."""
+    raise NotImplementedError("the eta kernels of the in-repo simplex were removed")
 
 
-def btran_etas(starts, idx, val, pivots, T, y):
-    u = np.add.reduceat(val * y[idx], starts[:-1]) - y[pivots]
-    np.subtract.at(y, pivots, dtrsv(T, u, lower=1, trans=1))
-    return y
+btran_etas = ftran_etas

@@ -12,13 +12,18 @@ Three builders produce ``LpProblem`` instances over [0,1]-bounded variables:
 * ``build_lp2`` — the single-layer case of ``build_lp3``.
 
 ``build_lp3`` is ``build_lp3_core`` (everything but the triangle rows)
-plus ``add_triangle_rows`` over ``all_triangles(n)``.  The pipeline solves
-the core instead and adds only the triangle rows that
-``separate_triangles`` finds violated at the current LP point, since few of
-the 3·C(n,3) rows ever bind; the full build stays for dumps, ``verify``
-and the tests.  ``drop_zero_cost_tuples`` also takes out of the solved LP
-the tuple columns whose objective coefficient is 0 (w+ = 0.5), whose own
-rows the triangle rows imply, and lifts them back from z afterwards.
+plus ``add_triangle_rows`` over ``all_triangles(n)``, and ``build_lp1`` is
+``build_lp1_core`` (the columns and objective) plus every Upsilon row.
+The pipeline solves the cores instead and adds only the rows that
+``separate_triangles`` or ``separate_upsilon`` finds violated at the
+current LP point, since few of the 3·C(n,3) triangle rows or the
+Θ(n^{2k-1}) Upsilon rows ever bind; the full builds stay for dumps,
+``verify`` and the tests.  ``_upsilon_rows`` enumerates the Upsilon rows
+in ``build_lp1``'s order a block of tuple pairs at a time, and serves
+both ``build_lp1`` and ``separate_upsilon``.  ``drop_zero_cost_tuples``
+also takes out of the solved LP the tuple columns whose objective
+coefficient is 0 (w+ = 0.5), whose own rows the triangle rows imply, and
+lifts them back from z afterwards.
 
 Every built row is ``<= 0`` over a fixed pattern of columns, and one
 emitter (``_emit_rows``) writes the rows of all four families from arrays
@@ -204,9 +209,10 @@ class LpProblem:
     @property
     def structural_constraint_count(self) -> int:
         """Census total, including cap families carried as bounds and
-        triangle rows left out of the matrix ("triangle_active" counts the
-        triangle rows present, a part of "triangle", so it is not added)."""
-        return sum(v for family, v in self.census.items() if family != "triangle_active")
+        triangle or Upsilon rows left out of the matrix ("triangle_active"
+        and "upsilon_active" count the rows present, a part of "triangle"
+        and "upsilon", so they are not added)."""
+        return sum(v for family, v in self.census.items() if not family.endswith("_active"))
 
     def index_of(self, vid: VarId) -> int:
         return self.col_index[vid]
@@ -441,11 +447,13 @@ def _check_weights_n(weights: MotifWeights, n: int) -> None:
         )
 
 
-def build_lp1(
+def build_lp1_core(
     weights: MotifWeights, n: int, *, max_constraints: int | None = None
 ) -> LpProblem:
-    """LP over tuple variables only, with the Upsilon family
-    x_{K3} <= x_{K1} + x_{K2}.  Grows Θ(n^{2k-1}); capped by default."""
+    """``build_lp1`` without its Upsilon rows: the tuple columns and the
+    objective.  The census keeps the closed-form "upsilon" count;
+    ``add_upsilon_rows`` appends the rows a solve needs.  The cap on that
+    count is ``build_lp1``'s."""
     _check_weights_n(weights, n)
     k = weights.k
     cap = LP1_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
@@ -454,30 +462,127 @@ def build_lp1(
         raise SizeLimitError(
             f"LP1 would need {est} constraints (cap {cap}); pass max_constraints to override"
         )
-    tuples = list(map(tuple, weights.tuple_table().tuples.tolist()))
-    var_ids = [VarId("tuple", t) for t in tuples]
-    col = {t: j for j, t in enumerate(tuples)}
-    wplus = weights.tuple_table().wplus
-    obj = 2.0 * wplus - 1.0
-    offset = float((1.0 - wplus).sum())
-    tsets = [frozenset(t) for t in tuples]
-    triples = []  # (x_K3, x_K1, x_K2) columns per Upsilon row
-    for i in range(len(tuples)):
-        si = tsets[i]
-        for j in range(i + 1, len(tuples)):
-            if not (si & tsets[j]):
-                continue
-            union = sorted(si | tsets[j])
-            for k3 in combinations(union, k):
-                if k3 == tuples[i] or k3 == tuples[j]:
-                    continue
-                triples.append((col[k3], i, j))
-    A, senses, rhs = _emit_rows(len(var_ids), [(triples, (1.0, -1.0, -1.0), (3,))])
-    m = len(triples)  # the row-name function keeps the count, not the triples
+    table = weights.tuple_table()
+    var_ids = [VarId("tuple", t) for t in map(tuple, table.tuples.tolist())]
     return LpProblem(
-        f"lp1_n{n}_k{k}", var_ids, obj, offset, A, senses, rhs,
-        lambda: [f"ups{i}" for i in range(m)], census={"upsilon": m},
+        f"lp1_n{n}_k{k}", var_ids, 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
+        sp.csr_matrix((0, len(var_ids))), np.empty(0, dtype=np.int8), np.empty(0), [],
+        census={"upsilon": est, "upsilon_active": 0},
     )
+
+
+def build_lp1(
+    weights: MotifWeights, n: int, *, max_constraints: int | None = None
+) -> LpProblem:
+    """LP over tuple variables only, with the Upsilon family
+    x_{K3} <= x_{K1} + x_{K2}.  Grows Θ(n^{2k-1}); capped by default."""
+    core = build_lp1_core(weights, n, max_constraints=max_constraints)
+    cols = np.concatenate([block for _, block in _upsilon_rows(n, weights.k)])
+    A, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
+    m = len(cols)  # the row-name function keeps the count, not the rows
+    return core.derive(A, senses, rhs, lambda: [upsilon_row_name(i) for i in range(m)], {"upsilon": m})
+
+
+def upsilon_row_name(i: int, *cols: int) -> str:
+    """Row name of the Upsilon row at index ``i`` of ``build_lp1`` (its
+    columns ``cols``, as ``separate_upsilon`` lists them, do not enter)."""
+    return f"ups{i}"
+
+
+_UPSILON_BLOCK = 1 << 14  # tuple pairs (K1, K2) examined per block
+
+
+def _upsilon_rows(n: int, k: int, keep=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The Upsilon rows over the k-subsets of 1..n in ``build_lp1``'s
+    order, a block at a time: (the rows' indices in ``build_lp1``, an
+    (m, 3) array of their columns of x_K3, x_K1, x_K2).  A column is its
+    tuple's lexicographic rank.
+
+    The rows come from the pairs K1 < K2 that share a vertex, in order;
+    each pair gives one row per k-subset K3 of K1 ∪ K2 other than K1 and
+    K2, in lexicographic order.  ``keep(K1, K2)``, given the column arrays
+    of a block's pairs, masks the pairs whose rows are wanted (default:
+    all).  A block holds the pairs of a run of K1 (about
+    ``_UPSILON_BLOCK`` candidate pairs), handled at once per overlap size,
+    so the full row list is never held.
+    """
+    T = math.comb(n, k)
+    member = np.zeros((T, n + 1))  # member[t, v] = 1 if vertex v is in tuple t
+    np.put_along_axis(member, np.array(list(combinations(range(1, n + 1), k))).reshape(T, k), 1.0, axis=1)
+    inside = member > 0
+    # lexicographic rank = C(n,k) - 1 - sum over positions c of C(n - v_c, k - c)
+    binom = np.array([[math.comb(a, b) for b in range(k + 1)] for a in range(n + 1)], dtype=float)
+    term = binom[n - np.arange(n + 1)[:, None], k - np.arange(k)]  # (vertex, position)
+    pick_terms, width = {}, np.zeros(k, dtype=np.int64)  # per overlap s = |K1 ∩ K2|
+    for s in range(1, k):
+        # the k-subsets of the 2k-s union as a 0/1 matrix that sums their terms
+        subsets = list(combinations(range(2 * k - s), k))
+        sel = np.zeros((2 * k - s, k, len(subsets)))
+        for r, positions in enumerate(subsets):
+            sel[positions, range(k), r] = 1.0
+        pick_terms[s] = sel.reshape(-1, len(subsets))
+        width[s] = len(subsets) - 2  # K1 and K2 are among them
+    first = 0
+    step = max(1, _UPSILON_BLOCK // T)
+    for lo in range(0, T, step):
+        shared = np.triu(member[lo : lo + step] @ member.T, lo + 1)  # K2 after K1 only
+        i, j = np.nonzero(shared)
+        s = shared[i, j].astype(np.int64)
+        i += lo
+        counts = width[s]
+        ids = first + np.cumsum(counts) - counts  # of each pair's first row
+        first += int(counts.sum())
+        if keep is not None:
+            wanted = keep(i, j)
+            i, j, s, counts, ids = i[wanted], j[wanted], s[wanted], counts[wanted], ids[wanted]
+        starts = np.cumsum(counts) - counts
+        ids = np.repeat(ids - starts, counts) + np.arange(int(counts.sum()))
+        cols = np.empty((len(ids), 3), dtype=np.int64)
+        for overlap, sel in pick_terms.items():
+            pick = np.nonzero(s == overlap)[0]
+            K1, K2 = i[pick], j[pick]
+            union = np.flatnonzero(inside[K1] | inside[K2]) % (n + 1)  # each pair's, ascending
+            terms = np.take(term, union, axis=0).reshape(len(pick), len(sel))
+            rank = (binom[n, k] - 1 - terms @ sel).astype(np.int64)
+            at = (starts[pick, None] + np.arange(width[overlap])).ravel()
+            cols[at, 0] = rank[(rank != K1[:, None]) & (rank != K2[:, None])]
+            cols[at, 1] = np.repeat(K1, width[overlap])
+            cols[at, 2] = np.repeat(K2, width[overlap])
+        yield ids, cols
+
+
+def separate_upsilon(problem: LpProblem, values: np.ndarray, tol: float) -> np.ndarray:
+    """The Upsilon rows x_K3 <= x_K1 + x_K2 that the point ``values``
+    violates by more than ``tol``, as (i, K3, K1, K2) rows: the row's index
+    in ``build_lp1`` and its three columns, in that order; rows already in
+    ``problem`` included.
+
+    The violation is evaluated as (x_K3 - x_K1) - x_K2, the order in which
+    a row's sparse product sums its terms, so the result equals the set of
+    rows with ``A_ups @ x - rhs > tol``.  Only the pairs (K1, K2) with
+    (max x - x_K1) - x_K2 > tol can have such a row (rounding is monotone,
+    so this holds in floating point too), and only their rows are
+    enumerated (``_upsilon_rows``).  An LP whose census has no "upsilon"
+    family has no Upsilon rows to violate.
+    """
+    if "upsilon" not in problem.census:
+        return np.empty((0, 4), dtype=np.int64)
+    last = problem.var_ids[-1].key  # LP1's columns are the k-tuples of 1..n in order
+    x = np.asarray(values, dtype=float)
+    top = x.max()
+    found = [np.empty((0, 4), dtype=np.int64)]
+    for ids, cols in _upsilon_rows(last[-1], len(last), lambda K1, K2: (top - x[K1]) - x[K2] > tol):
+        hit = np.nonzero((x[cols[:, 0]] - x[cols[:, 1]]) - x[cols[:, 2]] > tol)[0]
+        found.append(np.column_stack([ids[hit], cols[hit]]))
+    return np.concatenate(found)
+
+
+def add_upsilon_rows(core: LpProblem, rows: np.ndarray) -> LpProblem:
+    """``core`` with the Upsilon rows ``rows`` appended in the given order,
+    each an (i, K3, K1, K2) row as ``separate_upsilon`` lists it and named
+    as row i of ``build_lp1``.  The census's ``upsilon_active`` counts them."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+    return _append_rows(core, rows[:, 1:], "upsilon_active", rows, upsilon_row_name)
 
 
 def _emit_pair_rows(tuples: np.ndarray, base: int, zc: np.ndarray) -> tuple:
@@ -510,11 +615,12 @@ def _pair_row_names(tables: list[np.ndarray]) -> list[str]:
     return names
 
 
-def _names(source, rows: np.ndarray | None = None, triangles=()) -> list[str]:
-    """Row names from a list or the function formatting them, at ``rows``, then ``triangles``' rows."""
+def _names(source, rows: np.ndarray | None = None, added=(), name=None) -> list[str]:
+    """Row names from a list or the function formatting them, at ``rows``,
+    then ``name(a)`` for each ``a`` of ``added``."""
     names = source() if callable(source) else source
     names = names if rows is None else [names[i] for i in rows.tolist()]
-    return names + [triangle_row_name(*t) for t in np.asarray(triangles).tolist()]
+    return names + [name(*a) for a in np.asarray(added).tolist()]
 
 
 def triangle_row_name(a: int, b: int, c: int, apex: int) -> str:
@@ -548,6 +654,22 @@ def _pair_column_matrix(var_ids: list[VarId]) -> np.ndarray | None:
     return zc
 
 
+def _append_rows(core: LpProblem, cols: np.ndarray, active: str, labels: np.ndarray, name) -> LpProblem:
+    """``core`` with one row x_a <= x_b + x_c appended per (a, b, c) row of
+    column indices ``cols``, the row of ``labels[i]`` named
+    ``name(*labels[i])``; the census family ``active`` counts them."""
+    if not len(cols):
+        return core
+    block, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
+    return core.derive(
+        sp.vstack([core.A, block], format="csr"),
+        np.concatenate([core.senses, senses]),
+        np.concatenate([core.rhs, rhs]),
+        partial(_names, core._row_names, added=labels, name=name),
+        dict(core.census, **{active: core.census.get(active, 0) + len(cols)}),
+    )
+
+
 def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
     """``core`` with one metric row z_qr <= z_pq + z_pr appended per
     (a, b, c, apex p) row of ``triangles``, in the given order; q < r are
@@ -567,15 +689,7 @@ def add_triangle_rows(core: LpProblem, triangles: np.ndarray) -> LpProblem:
     others = abc[abc != p[:, None]].reshape(m, 2)
     q, r = others[:, 0], others[:, 1]
     cols = np.column_stack([zc[q, r], zc[p, q], zc[p, r]])
-    block, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
-    census = dict(core.census, triangle_active=core.census.get("triangle_active", 0) + m)
-    return core.derive(
-        sp.vstack([core.A, block], format="csr"),
-        np.concatenate([core.senses, senses]),
-        np.concatenate([core.rhs, rhs]),
-        partial(_names, core._row_names, triangles=tri),
-        census,
-    )
+    return _append_rows(core, cols, "triangle_active", tri, triangle_row_name)
 
 
 def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np.ndarray:

@@ -1,19 +1,19 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
-LP2 and LP3 are built without their 3·C(n,3) triangle rows.  The solve
-stage solves that core LP on HiGHS, adds the triangle rows the optimum
-violates (``separate_triangles`` at the solver tolerance) and solves
-again, until no omitted row is violated; that optimum is then optimal for
-the full LP.  One HiGHS instance serves all rounds: each later round
-passes it only the added rows, and HiGHS re-optimizes from its last
-basis.  LP1 is built in full and solved once by the in-repo simplex from
-the greedy warm start.  The solve also leaves out the tuple columns of
-objective coefficient exactly 0 and their own rows
-(``drop_zero_cost_tuples``: the triangle rows imply them) and lifts those
-columns back from z at the end.  The check stage verifies the lifted point
-against the core LP, left-out tuple rows included, plus the active triangle
-rows, and separates once more at the certificate tolerance, so every row
-of the full LP is checked.
+Every relaxation is built without one row family: LP1 without its
+Θ(n^{2k-1}) Upsilon rows, LP2 and LP3 without their 3·C(n,3) triangle
+rows (``omitted_rows`` names the family).  The solve stage solves that
+core LP on HiGHS, adds the rows of the family the optimum violates (the
+family's ``separate`` at the solver tolerance) and solves again, until no
+omitted row is violated; that optimum is then optimal for the full LP.
+One HiGHS instance serves all rounds: each later round passes it only the
+added rows, and HiGHS re-optimizes from its last basis.  For LP2/LP3 the
+solve also leaves out the tuple columns of objective coefficient exactly
+0 and their own rows (``drop_zero_cost_tuples``: the triangle rows imply
+them) and lifts those columns back from z at the end.  The check stage
+verifies the lifted point against the core LP, left-out tuple rows
+included, plus the active rows, and separates once more at the
+certificate tolerance, so every row of the full LP is checked.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
@@ -30,6 +30,7 @@ import json
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -52,16 +53,18 @@ from .graph import (
 from .lpmodel import (
     FractionalSolution,
     LpProblem,
-    _labels_cost,
     add_triangle_rows,
-    build_lp1,
+    add_upsilon_rows,
+    build_lp1_core,
     build_lp3_core,
     drop_zero_cost_tuples,
     evaluate_objective,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.evaluate_objective
-    induced_point,
+    induced_point,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.induced_point
     per_class_breakdown,
     separate_triangles,
+    separate_upsilon,
     triangle_row_name,
+    upsilon_row_name,
 )
 from .motifs import MixedWeights, build_table1_weights, weights_from_config
 from .generators import (
@@ -247,65 +250,84 @@ def pick_relaxation(config: RunConfig, mixed: MixedWeights) -> str:
 
 
 def build_relaxation(relaxation: str, mixed: MixedWeights, n: int) -> LpProblem:
-    """LP1 in full; LP2/LP3 without triangle rows (``solve_relaxation``
-    adds those it needs)."""
+    """LP1 without Upsilon rows, LP2/LP3 without triangle rows
+    (``solve_relaxation`` adds those it needs)."""
     if relaxation == "LP1":
-        return build_lp1(mixed.layers[0].weights, n)
+        return build_lp1_core(mixed.layers[0].weights, n)
     if relaxation == "LP2":
         return build_lp3_core(MixedWeights.single(mixed.layers[0].weights), n)
     return build_lp3_core(mixed, n)
+
+
+@dataclass(frozen=True)
+class RowFamily:
+    """A family of rows x_a <= x_b + x_c that an LP is built without and a
+    solve adds as its points violate them.  A row is an int array of
+    width 4: ``separate`` lists the rows a point violates, ``add``
+    appends rows to an LP and ``name`` gives a row's name."""
+
+    label: str
+    separate: Callable[[LpProblem, np.ndarray, float], np.ndarray]
+    add: Callable[[LpProblem, np.ndarray], LpProblem]
+    name: Callable[..., str]
+
+
+def omitted_rows(problem: LpProblem) -> RowFamily:
+    """The family ``problem`` leaves to separation: LP1's Upsilon rows
+    (its census has "upsilon"), else LP2/LP3's triangle rows."""
+    if "upsilon" in problem.census:
+        return RowFamily("Upsilon", separate_upsilon, add_upsilon_rows, upsilon_row_name)
+    return RowFamily("triangle", separate_triangles, add_triangle_rows, triangle_row_name)
 
 
 @dataclass
 class RelaxationSolve:
     """What ``solve_relaxation`` hands to the check stage."""
 
-    problem: LpProblem  # the core given plus the active triangle rows
+    problem: LpProblem  # the core given plus the active omitted rows
     solution: FractionalSolution  # optimal point, lifted onto ``problem``
     solved: LpProblem  # the last LP the solver saw
     rounds: list[SolverResult]
 
 
-def solve_relaxation(
-    core: LpProblem, config: SolverConfig, start: np.ndarray | None
-) -> RelaxationSolve:
+def solve_relaxation(core: LpProblem, config: SolverConfig) -> RelaxationSolve:
     """Solve ``core`` without its zero-cost tuple columns
-    (``drop_zero_cost_tuples``), add the triangle rows its optimum violates
-    beyond ``config.tol`` and solve again, until a round adds no row.  The
-    last optimum is optimal for the full LP; it is lifted back onto
-    ``core`` plus the active rows (in ``build_lp3`` order), which the check
-    stage verifies, left-out tuple rows included.
+    (``drop_zero_cost_tuples``), add the rows of its omitted family
+    (``omitted_rows``) that its optimum violates beyond ``config.tol`` and
+    solve again, until a round adds no row.  The last optimum is optimal
+    for the full LP; it is lifted back onto ``core`` plus the active rows
+    (in the full build's order), which the check stage verifies, left-out
+    tuple rows included.
 
-    ``start`` (a point of ``core``) seeds the in-repo simplex, which the
-    pipeline runs on LP1 only; LP1 has no pair columns, so no column is
-    left out.  With HiGHS every round solves in one ``HighsModel``:
-    the rows a round adds go after the rows already there, and HiGHS
-    re-optimizes from the previous optimal basis.  A failed round raises
-    SolverFailureError naming the round.
+    Every round solves in one ``HighsModel``: the rows a round adds go
+    after the rows already there, and HiGHS re-optimizes from the previous
+    optimal basis.  A failed round raises SolverFailureError naming the
+    round.
     """
     reduced, lift = drop_zero_cost_tuples(core)
-    model = HighsModel() if config.engine == "scipy" else None
+    family = omitted_rows(core)
+    model = HighsModel()
     problem = reduced
     active = np.empty((0, 4), dtype=np.int64)
     rounds: list[SolverResult] = []
     while True:
         try:
-            result = solve(problem, config, start_values=start, model=model)
+            result = solve(problem, config, model=model)
         except SolverFailureError as exc:
             raise SolverFailureError(f"{exc} in round {len(rounds) + 1}") from exc
         rounds.append(result)
         if result.status != "optimal":
             raise SolverFailureError(f"solver returned status {result.status} in round {len(rounds)}")
-        violated = separate_triangles(problem, result.solution.values, config.tol)
+        violated = family.separate(problem, result.solution.values, config.tol)
         # a row already in the LP can show up again within rounding of tol
         both = np.concatenate([active, violated])
         first = np.unique(both, axis=0, return_index=True)[1]
         added = both[np.sort(first[first >= len(active)])]
         if not len(added):
-            full = problem if reduced is core else add_triangle_rows(core, np.unique(active, axis=0))
+            full = problem if reduced is core else family.add(core, np.unique(active, axis=0))
             return RelaxationSolve(full, lift(result.solution), problem, rounds)
         active = np.concatenate([active, added])
-        problem = add_triangle_rows(problem, added)
+        problem = family.add(problem, added)
 
 
 def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: int) -> Recommendation:
@@ -340,34 +362,11 @@ def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: in
     return Recommendation(params, ratio, rec.algorithm, beta_bound=rec.beta_bound, r0=rec.r0, mode="manual")
 
 
-def greedy_partition(mixed: MixedWeights, n: int, *, max_passes: int = 25) -> Partition:
-    """Deterministic local search (single-vertex best moves from
-    singletons); used to warm-start the solver at a decent vertex.  Moves
-    are scored on a label array (vertex v -> label, slot 0 unused)."""
-    labels = np.arange(-1, n, dtype=np.int64)
-    current = _labels_cost(labels, mixed)
-    for _ in range(max_passes):
-        improved = False
-        for v in range(1, n + 1):
-            old = int(labels[v])
-            present = np.unique(labels[1:])
-            cands = [*present.tolist(), int(present[-1]) + 1]
-            best_lab, best_cost = old, current
-            for lab in cands:
-                if lab == old:
-                    continue
-                labels[v] = lab
-                cost = _labels_cost(labels, mixed)
-                if cost < best_cost - 1e-12:
-                    best_lab, best_cost = lab, cost
-                labels[v] = old
-            if best_lab != old:
-                labels[v] = best_lab
-                current = best_cost
-                improved = True
-        if not improved:
-            break
-    return Partition.from_assignment(labels[1:].tolist(), n=n)
+def greedy_partition(*args, **kwargs):
+    """The retired LP1 warm start, kept only as a name that the
+    benchmark's tracer (perfbench/tracer.py) wraps (ROADMAP item 1);
+    nothing calls it."""
+    raise NotImplementedError("the greedy warm start went with the in-repo simplex")
 
 
 def _instance_digest(graph: DirectedGraph) -> str:
@@ -389,28 +388,22 @@ def run(config: RunConfig) -> Report:
         relaxation = pick_relaxation(config, mixed)
     with stage("build", timings):
         problem = build_relaxation(relaxation, mixed, n)
-    # LP1 stays on the in-repo simplex, from the greedy warm start: on
-    # HiGHS its fully built LP made small batches slower and larger
-    engine = "simplex" if relaxation == "LP1" else "scipy"
-    solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations, engine=engine)
-    start = None
-    if engine == "simplex":
-        with stage("warm_start", timings):
-            start = induced_point(greedy_partition(mixed, n), problem).values
+    solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations)
     with stage("solve", timings):
-        relaxed = solve_relaxation(problem, solver_cfg, start)
+        relaxed = solve_relaxation(problem, solver_cfg)
         problem, solution, rounds = relaxed.problem, relaxed.solution, relaxed.rounds
     with stage("check", timings):
         # round only a point that satisfies every row and bound, including
-        # the tuple and triangle rows the solve left out
+        # the tuple, triangle and Upsilon rows the solve left out
         check = verify_solution(problem, solution, tol=config.certificate_tol)
         if not check.ok:
             raise SolverFailureError(f"LP point infeasible: {check.summary()}, first {check.violations[0]}")
-        missed = separate_triangles(problem, solution.values, config.certificate_tol)
+        family = omitted_rows(problem)
+        missed = family.separate(problem, solution.values, config.certificate_tol)
         if len(missed):
             raise SolverFailureError(
-                f"LP point violates {len(missed)} omitted triangle rows "
-                f"(first {triangle_row_name(*missed[0].tolist())}) at tol {config.certificate_tol:g}"
+                f"LP point violates {len(missed)} omitted {family.label} rows "
+                f"(first {family.name(*missed[0].tolist())}) at tol {config.certificate_tol:g}"
             )
     with stage("round", timings):
         rec = choose_params(config, mixed, relaxation, n)
@@ -462,12 +455,9 @@ def run(config: RunConfig) -> Report:
         },
         breakdown=breakdown,
         solver={
-            "engine": engine,
+            "engine": solver_cfg.engine,
             "status": rounds[-1].status,
             "iterations": sum(r.iterations for r in rounds),
-            "pivots": sum(r.pivots for r in rounds),
-            "bound_flips": sum(r.bound_flips for r in rounds),
-            "refactors": sum(r.refactors for r in rounds),
             "row_rounds": len(rounds),
             "round_iterations": [r.iterations for r in rounds],
             "rows_in_lp": relaxed.solved.num_rows,

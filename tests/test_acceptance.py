@@ -42,9 +42,9 @@ from motifcc.lpmodel import (
     induced_point,
 )
 from motifcc.motifs import MixedWeights, MotifClass, MotifWeights, WeightRule
-from motifcc.pipeline import RunConfig, greedy_partition, run
+from motifcc.pipeline import RunConfig, run
 from motifcc.rounding import certify, recommended_params, round_alg1, round_alg2
-from motifcc.simplex import SolverConfig, solve, verify_solution
+from motifcc.simplex import solve, verify_solution
 
 from conftest import all_partitions
 from test_lpmodel import brute_force_upsilon
@@ -68,11 +68,9 @@ UNIFORM_K2 = WeightRule(
 )
 
 
-def warm_solve(problem, mixed, n):
-    """Solve on the in-repo simplex from the induced point of the greedy
-    partition, as the pipeline does for LP1; asserts optimality."""
-    start = induced_point(greedy_partition(mixed, n), problem).values
-    result = solve(problem, SolverConfig(engine="simplex"), start_values=start)
+def solve_optimal(problem):
+    """Solve on HiGHS, as the pipeline does; asserts optimality."""
+    result = solve(problem)
     assert result.status == "optimal"
     return result
 
@@ -92,11 +90,10 @@ def _warm_kernels():
         {MotifClass.TRIANGLE: 1.0, MotifClass.PATH: 0.5, MotifClass.OTHER_TRIPLE: 0.5}
     )
     w = MotifWeights(3, g, rule)
-    mixed = MixedWeights.single(w)
-    r1 = warm_solve(build_lp1(w, 4), mixed, 4)
+    r1 = solve_optimal(build_lp1(w, 4))
     rec1 = recommended_params(3, "mcc-lp1")
     round_alg1(r1.solution, 4, 3, rec1.params)
-    r2 = warm_solve(build_lp2(w, 4), mixed, 4)
+    r2 = solve_optimal(build_lp2(w, 4))
     rec2 = recommended_params(3, "mcc-lp2")
     round_alg2(r2.solution, 4, 3, rec2.params, beta_bound=rec2.beta_bound)
 
@@ -145,12 +142,12 @@ def test_criterion_02_fig2a_optimum_and_pivot_failure():
     assert ex.cost == 0.0
     assert set(ex.partition.clusters) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
 
-    r1 = warm_solve(build_lp1(layer.weights, 6), mixed, 6)
+    r1 = solve_optimal(build_lp1(layer.weights, 6))
     rec1 = recommended_params(3, "mcc-lp1")
     p1, _ = round_alg1(r1.solution, 6, 3, rec1.params)
     assert evaluate_objective(p1, mixed) == 0.0
 
-    r2 = warm_solve(build_lp2(layer.weights, 6), mixed, 6)
+    r2 = solve_optimal(build_lp2(layer.weights, 6))
     rec2 = recommended_params(3, "mcc-lp2")
     p2, _ = round_alg2(r2.solution, 6, 3, rec2.params, beta_bound=rec2.beta_bound)
     assert evaluate_objective(p2, mixed) == 0.0
@@ -190,7 +187,7 @@ def test_criterion_03_fig2b_vertex_pivot_degradation():
             ex = exact_min_disagree(mixed)
             assert ex.cost == 0.0
 
-        res = warm_solve(build_lp2(layer.weights, n), mixed, n)
+        res = solve_optimal(build_lp2(layer.weights, n))
         rec = recommended_params(3, "mcc-lp2")
         part, _ = round_alg2(
             res.solution, n, 3, rec.params, beta_bound=rec.beta_bound
@@ -217,7 +214,7 @@ def test_criterion_04_anomaly_recovery():
         n = fix.graph.n
         mixed = anomaly_weights(fix.graph)
         layer = next(iter(mixed))
-        res = warm_solve(build_lp2(layer.weights, n), mixed, n)
+        res = solve_optimal(build_lp2(layer.weights, n))
         rec = recommended_params(3, "mcc-lp2")
         part, _ = round_alg2(
             res.solution, n, 3, rec.params, beta_bound=rec.beta_bound, seed=seed
@@ -246,12 +243,12 @@ def test_criterion_05_approximation_guarantee_sweep():
         mixed = MixedWeights.single(weights)
         ex = exact_min_disagree(mixed)
 
-        r1 = warm_solve(build_lp1(weights, n), mixed, n)
+        r1 = solve_optimal(build_lp1(weights, n))
         rec1 = recommended_params(3, "mcc-lp1")
         p1, _ = round_alg1(r1.solution, n, 3, rec1.params, seed=instances)
         c1 = evaluate_objective(p1, mixed)
 
-        r2 = warm_solve(build_lp2(weights, n), mixed, n)
+        r2 = solve_optimal(build_lp2(weights, n))
         rec2 = recommended_params(3, "mcc-lp2")
         p2, _ = round_alg2(
             r2.solution, n, 3, rec2.params, beta_bound=rec2.beta_bound, seed=instances
@@ -366,7 +363,7 @@ def test_criterion_09_edge_motif_parameter_path(karate_runs):
         w3 = MotifWeights(3, graph, UNIFORM_K3, seed=int(rng.integers(1 << 30)))
         lam = float(rng.uniform(0.05, 2.0))
         mixed = MixedWeights([(2, w2, 1.0), (3, w3, lam)])
-        res = warm_solve(build_lp3(mixed, n), mixed, n)
+        res = solve_optimal(build_lp3(mixed, n))
         rec = recommended_params(3, "mmcc-edge-motif", lam=lam, n=n)
         part, _ = round_alg2(
             res.solution, n, 3, rec.params, beta_bound=rec.beta_bound, seed=i

@@ -7,13 +7,10 @@ from conftest import all_partitions
 from motifcc.errors import InvalidParameterError, SizeLimitError
 from motifcc.exact import (
     ClusteringReport,
-    agreement,
     bell_number,
     exact_min_disagree,
-    maxagree_2approx,
     partitions_blocks,
     partitions_rgs,
-    total_weight,
 )
 from motifcc.graph import Partition
 from motifcc.lpmodel import evaluate_objective
@@ -125,11 +122,10 @@ class TestExactSearch:
 
     def test_vertex_count_other_than_the_graphs_rejected(self, two_triangle_graph):
         mixed = fig2_style_weights(two_triangle_graph)
-        for call in (exact_min_disagree, total_weight, maxagree_2approx):
-            with pytest.raises(InvalidParameterError):
-                call(mixed, 5)
-            with pytest.raises(InvalidParameterError):
-                call(mixed, 7)
+        with pytest.raises(InvalidParameterError):
+            exact_min_disagree(mixed, 5)
+        with pytest.raises(InvalidParameterError):
+            exact_min_disagree(mixed, 7)
 
     def test_small_batch_size_same_answer(self, two_triangle_graph):
         mixed = build_table1_weights("CC", two_triangle_graph)
@@ -143,40 +139,3 @@ class TestExactSearch:
         d = exact_min_disagree(mixed, 6).to_json_dict()
         assert d["solver"] == "exact-enumeration"
         assert sorted(map(sorted, d["clusters"])) == [[1, 2, 3], [4, 5, 6]]
-
-
-class TestAgreementSide:
-    def test_agreement_complements_cost(self, two_triangle_graph):
-        mixed = build_table1_weights("MCC", two_triangle_graph)
-        total = total_weight(mixed, 6)
-        assert total == pytest.approx(20.0)  # probability weights: C(6,3) per unit layer
-        for clusters in ([[1, 2, 3], [4, 5, 6]], [[1, 2, 3, 4, 5, 6]], [[v] for v in range(1, 7)]):
-            part = Partition.from_cluster_list(clusters, n=6)
-            assert agreement(part, mixed) + evaluate_objective(part, mixed) == pytest.approx(total)
-
-    def test_half_total_guarantee(self, two_triangle_graph, path_graph):
-        for graph in (two_triangle_graph, path_graph):
-            for method in ("CC", "MCC", "MMCC"):
-                mixed = build_table1_weights(method, graph)
-                report = maxagree_2approx(mixed)
-                assert report.extra["agreement"] >= total_weight(mixed) / 2.0 - 1e-9
-                assert report.extra["choice"] in ("singletons", "one-cluster")
-
-    def test_better_of_two_really_is_the_better(self, two_triangle_graph):
-        mixed = build_table1_weights("MCC", two_triangle_graph)
-        report = maxagree_2approx(mixed)
-        both = [
-            agreement(Partition.singletons(6), mixed),
-            agreement(Partition.one_cluster(6), mixed),
-        ]
-        assert report.extra["agreement"] == pytest.approx(max(both))
-
-    def test_agreement_never_exceeds_exact_maximum(self, two_triangle_graph):
-        mixed = build_table1_weights("CC", two_triangle_graph)
-        best = max(
-            agreement(Partition.from_assignment(labels, n=6), mixed)
-            for labels in all_partitions(6)
-        )
-        report = maxagree_2approx(mixed)
-        assert report.extra["agreement"] <= best + 1e-9
-        assert report.extra["agreement"] >= best / 2.0 - 1e-9
