@@ -74,7 +74,6 @@ from .exact import (
     ClusteringReport,
     bell_number,
     exact_min_disagree,
-    partitions_blocks,
     partitions_rgs,
 )
 from .baselines import pivot_edge_baseline, pivot_vertex_baseline
@@ -148,7 +147,6 @@ __all__ = [
     "make_fig2b",
     "make_layered_flow",
     "misassigned_vertices",
-    "partitions_blocks",
     "partitions_rgs",
     "per_class_breakdown",
     "pivot_edge_baseline",

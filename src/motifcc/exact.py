@@ -2,8 +2,9 @@
 
 ``exact_min_disagree`` enumerates every set partition (restricted-growth
 strings, batched through the cost kernels) — the ground truth all other
-solvers are measured against at small n.  Two independent partition
-enumerators cross-check each other and the Bell numbers in the tests.
+solvers are measured against at small n.  The tests cross-check its
+enumerator, ``partitions_rgs``, against an independent one and the Bell
+numbers.
 """
 
 from __future__ import annotations
@@ -80,28 +81,6 @@ def partitions_rgs(n: int) -> Iterator[tuple[int, ...]]:
         for i in range(j + 1, n):
             a[i] = 0
             b[i] = grown
-
-
-def partitions_blocks(n: int) -> Iterator[list[list[int]]]:
-    """Independent enumerator: grow block lists vertex by vertex.
-
-    Yields each partition of [1..n] exactly once as sorted block lists;
-    used to cross-check partitions_rgs.
-    """
-
-    def rec(v: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
-        if v > n:
-            yield [list(b) for b in blocks]
-            return
-        for blk in blocks:
-            blk.append(v)
-            yield from rec(v + 1, blocks)
-            blk.pop()
-        blocks.append([v])
-        yield from rec(v + 1, blocks)
-        blocks.pop()
-
-    yield from rec(1, [])
 
 
 def _graph_n(mixed: MixedWeights, n: int | None) -> int:

@@ -30,6 +30,12 @@ emitter (``_emit_rows``) writes the rows of all four families from arrays
 of column indices: Upsilon rows, the pair-floor and pair-sum rows of each
 tuple, and triangle rows.
 
+The rows are held as plain CSR arrays (``data``, ``indices``, ``indptr``),
+decided here and handed to HiGHS as they are, so no run imports scipy's
+sparse module: ``LpProblem.row_activity`` sums each row in index order as
+scipy's CSR product does, and ``LpProblem.A``, the scipy matrix the tests
+and the benchmark's tracer read, is built on first read.
+
 The LP2/LP3 set-up works on arrays: O(rows) numpy work, one object per
 column, and one pair-column map per fresh column list (an (n+1)² matrix)
 that the LPs ``LpProblem.derive`` makes from it (the reduced LP, every
@@ -55,7 +61,6 @@ from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidParameterError, SizeLimitError, as_number
 from .graph import KTuple, Partition, canonical_tuple, enumerate_ktuples
@@ -124,7 +129,14 @@ class LinearConstraint:
 class LpProblem:
     """An immutable minimize-LP over [0,1]-bounded variables.
 
-    Rows are stored sparse (CSR) with senses coded -1/0/+1 for <=/=/>=.
+    The rows are a CSR triple of arrays: row i holds the coefficients
+    ``data[indptr[i]:indptr[i+1]]`` at the columns ``indices[...]`` of the
+    same slice.  ``rows`` is that triple (data, indices, indptr) or any
+    scipy sparse matrix.  Senses are coded -1/0/+1 for <=/=/>=.
+    ``row_activity`` sums each row from 0.0 in index order, the order of
+    scipy's CSR product.  ``A`` is a scipy CSR view of the rows, built on
+    first read (importing scipy's sparse module then); assigning a scipy
+    matrix to it replaces the arrays.
     ``census`` maps structural-constraint family names to their counts; the
     family "unit_cap" is realized as variable bounds rather than rows, and
     "triangle_active" says how many of the "triangle" family are rows.
@@ -137,7 +149,7 @@ class LpProblem:
         var_ids: list[VarId],
         obj: np.ndarray,
         offset: float,
-        rows: sp.csr_matrix,
+        rows,
         senses: np.ndarray,
         rhs: np.ndarray,
         row_names: list[str] | Callable[[], list[str]],
@@ -151,17 +163,13 @@ class LpProblem:
             raise InvalidParameterError("duplicate variable ids")
         self.obj = np.asarray(obj, dtype=float)
         self.offset = float(offset)
-        self.A = rows.tocsr()
         self.senses = np.asarray(senses, dtype=np.int8)
         self.rhs = np.asarray(rhs, dtype=float)
         self.census = dict(census or {})
         n = len(self.var_ids)
         self.lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
         self.ub = np.ones(n) if ub is None else np.asarray(ub, dtype=float)
-        if self.A.shape != (len(self.rhs), n):
-            raise InvalidParameterError(
-                f"matrix shape {self.A.shape} inconsistent with {len(self.rhs)} rows, {n} vars"
-            )
+        self.A = rows
         self._row_names = row_names if callable(row_names) else self._checked_names(row_names)
 
     def _checked_names(self, names) -> list[str]:
@@ -169,6 +177,56 @@ class LpProblem:
         if len(names) != self.num_rows:
             raise InvalidParameterError(f"{len(names)} row names for {self.num_rows} rows")
         return names
+
+    @property
+    def A(self):
+        """The rows as a scipy ``csr_matrix``, built on first read; its
+        index dtypes are the ones scipy's constructor picks."""
+        if self._A is None:
+            import scipy.sparse as sp
+
+            self._A = sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.num_rows, self.num_vars))
+        return self._A
+
+    @A.setter
+    def A(self, rows) -> None:
+        n = self.num_vars
+        if hasattr(rows, "tocsr"):  # any scipy sparse matrix
+            rows = rows.tocsr()
+            shape, rows = rows.shape, (rows.data, rows.indices, rows.indptr)
+        else:
+            cols = np.asarray(rows[1])
+            if len(cols) and not 0 <= cols.min() <= cols.max() < n:
+                raise InvalidParameterError(f"column index out of range for {n} vars")
+            shape = (len(rows[2]) - 1, n)
+        if shape != (len(self.rhs), n):
+            raise InvalidParameterError(f"matrix shape {shape} inconsistent with {len(self.rhs)} rows, {n} vars")
+        self.data, self.indices, self.indptr = np.asarray(rows[0], dtype=float), np.asarray(rows[1]), np.asarray(rows[2])
+        self._A = None
+
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.indptr))
+
+    def row_activity(self, x) -> np.ndarray:
+        """The row values ``A @ x``, bit for bit: each row is summed from
+        0.0 over its own entries in index order, as scipy's CSR product
+        sums it, so a NaN or inf in ``x`` reaches only the rows that hold
+        its column."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.num_vars,):
+            raise InvalidParameterError(f"point of shape {x.shape} for {self.num_vars} vars")
+        with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf is NaN, silently, as in scipy
+            products = self.data * x[self.indices]
+        return np.bincount(self._entry_rows(), weights=products, minlength=self.num_rows)
+
+    def colwise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows column by column, (start, row index, value), as
+        ``A.tocsc()`` lists them: a stable sort by column keeps each
+        column's entries in row order."""
+        order = np.argsort(self.indices, kind="stable")
+        start = np.concatenate([[0], np.cumsum(np.bincount(self.indices, minlength=self.num_vars))])
+        return start, self._entry_rows()[order], self.data[order]
 
     @property
     def row_names(self) -> list[str]:
@@ -186,9 +244,11 @@ class LpProblem:
 
     def derive(self, rows, senses, rhs, row_names, census, keep: np.ndarray | None = None) -> "LpProblem":
         """This LP's columns, or the subset ``keep`` (indices, in order), under
-        new rows; the column list is not checked again."""
+        new rows, a CSR triple over those columns; neither the column list
+        nor the rows are checked again."""
         lp = copy.copy(self)
-        lp.A, lp.senses, lp.rhs, lp._row_names, lp.census = rows, senses, rhs, row_names, dict(census)
+        (lp.data, lp.indices, lp.indptr), lp._A = rows, None
+        lp.senses, lp.rhs, lp._row_names, lp.census = senses, rhs, row_names, dict(census)
         if keep is not None:
             lp.var_ids = [self.var_ids[j] for j in keep.tolist()]
             lp.obj, lp.lb, lp.ub = self.obj[keep], self.lb[keep], self.ub[keep]
@@ -204,7 +264,7 @@ class LpProblem:
 
     @property
     def num_rows(self) -> int:
-        return self.A.shape[0]
+        return len(self.indptr) - 1
 
     @property
     def structural_constraint_count(self) -> int:
@@ -218,10 +278,9 @@ class LpProblem:
         return self.col_index[vid]
 
     def iter_constraints(self) -> Iterator[LinearConstraint]:
-        A = self.A
         for i in range(self.num_rows):
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            terms = [(self.var_ids[j], float(c)) for j, c in zip(A.indices[lo:hi], A.data[lo:hi])]
+            lo, hi = self.indptr[i], self.indptr[i + 1]
+            terms = [(self.var_ids[j], float(c)) for j, c in zip(self.indices[lo:hi], self.data[lo:hi])]
             yield LinearConstraint(self.row_names[i], terms, _SENSE_TEXT[self.senses[i]], float(self.rhs[i]))
 
     # ------------------------------------------------------------ text dump
@@ -291,18 +350,15 @@ class LpProblem:
         ub = np.ones(nv)
         for vname, lo, hi in bounds:
             lb[col[vname]], ub[col[vname]] = lo, hi
-        A = sp.csr_matrix(
-            (
-                np.array([c for terms in row_cols for _, c in terms], dtype=float),
-                np.array([j for terms in row_cols for j, _ in terms], dtype=np.int32),
-                np.cumsum([0] + [len(terms) for terms in row_cols], dtype=np.int32),
-            ),
-            shape=(len(rows), nv),
+        csr = (
+            np.array([c for terms in row_cols for _, c in terms], dtype=float),
+            np.array([j for terms in row_cols for j, _ in terms], dtype=np.int64),
+            np.cumsum([0] + [len(terms) for terms in row_cols], dtype=np.int64),
         )
         senses = np.array([sense for _, _, sense, _ in rows], dtype=np.int8)
         rhs = np.array([b for _, _, _, b in rows], dtype=float)
         row_names = [rname for rname, _, _, _ in rows]
-        return cls(name, var_ids, obj, offset, A, senses, rhs, row_names, lb=lb, ub=ub)
+        return cls(name, var_ids, obj, offset, csr, senses, rhs, row_names, lb=lb, ub=ub)
 
 
 def _text_file(fh, mode: str):
@@ -411,8 +467,9 @@ class FractionalSolution:
 # --------------------------------------------------------------- row emitter
 
 
-def _emit_rows(num_vars: int, groups) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """CSR matrix, senses and rhs of the ``<= 0`` rows of ``groups``.
+def _emit_rows(groups) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """CSR triple (data, indices, indptr), senses and rhs of the ``<= 0``
+    rows of ``groups``.
 
     A group is (cols, coeffs, widths): ``cols`` an (m, W) array of column
     indices, ``coeffs`` the W coefficients and ``widths`` the lengths of
@@ -423,8 +480,7 @@ def _emit_rows(num_vars: int, groups) -> tuple[sp.csr_matrix, np.ndarray, np.nda
     data = np.concatenate([[], *(np.tile(np.asarray(w, dtype=float), len(c)) for c, w, _ in groups)])
     indices = np.concatenate([np.empty(0, dtype=np.int64), *(c.ravel() for c, _, _ in groups)])
     m = len(lengths) - 1
-    A = sp.csr_matrix((data, indices, np.cumsum(lengths)), shape=(m, num_vars))
-    return A, np.full(m, _SENSE_CODE["<="], dtype=np.int8), np.zeros(m)
+    return (data, indices, np.cumsum(lengths)), np.full(m, _SENSE_CODE["<="], dtype=np.int8), np.zeros(m)
 
 
 def count_upsilon(n: int, k: int) -> int:
@@ -466,7 +522,8 @@ def build_lp1_core(
     var_ids = [VarId("tuple", t) for t in map(tuple, table.tuples.tolist())]
     return LpProblem(
         f"lp1_n{n}_k{k}", var_ids, 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
-        sp.csr_matrix((0, len(var_ids))), np.empty(0, dtype=np.int8), np.empty(0), [],
+        (np.empty(0), np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)), np.empty(0, dtype=np.int8),
+        np.empty(0), [],
         census={"upsilon": est, "upsilon_active": 0},
     )
 
@@ -478,9 +535,9 @@ def build_lp1(
     x_{K3} <= x_{K1} + x_{K2}.  Grows Θ(n^{2k-1}); capped by default."""
     core = build_lp1_core(weights, n, max_constraints=max_constraints)
     cols = np.concatenate([block for _, block in _upsilon_rows(n, weights.k)])
-    A, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
+    rows, senses, rhs = _emit_rows([(cols, (1.0, -1.0, -1.0), (3,))])
     m = len(cols)  # the row-name function keeps the count, not the rows
-    return core.derive(A, senses, rhs, lambda: [upsilon_row_name(i) for i in range(m)], {"upsilon": m})
+    return core.derive(rows, senses, rhs, lambda: [upsilon_row_name(i) for i in range(m)], {"upsilon": m})
 
 
 def upsilon_row_name(i: int, *cols: int) -> str:
@@ -660,9 +717,13 @@ def _append_rows(core: LpProblem, cols: np.ndarray, active: str, labels: np.ndar
     ``name(*labels[i])``; the census family ``active`` counts them."""
     if not len(cols):
         return core
-    block, senses, rhs = _emit_rows(core.num_vars, [(cols, (1.0, -1.0, -1.0), (3,))])
+    (data, indices, indptr), senses, rhs = _emit_rows([(cols, (1.0, -1.0, -1.0), (3,))])
     return core.derive(
-        sp.vstack([core.A, block], format="csr"),
+        (
+            np.concatenate([core.data, data]),
+            np.concatenate([core.indices, indices]),
+            np.concatenate([core.indptr, core.indptr[-1] + indptr[1:]]),
+        ),
         np.concatenate([core.senses, senses]),
         np.concatenate([core.rhs, rhs]),
         partial(_names, core._row_names, added=labels, name=name),
@@ -771,10 +832,16 @@ def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
     lift = TupleLift(core.var_ids, kept, dropped, zc)
     if not len(dropped):
         return core, lift
-    A = core.A
-    rows = np.nonzero(A[:, dropped].getnnz(axis=1) == 0)[0]
+    entry_rows = core._entry_rows()
+    touched = np.bincount(entry_rows[drop[core.indices]], minlength=core.num_rows) > 0
+    rows, entries = np.nonzero(~touched)[0], ~touched[entry_rows]
+    sub = (
+        core.data[entries],
+        (np.cumsum(~drop) - 1)[core.indices[entries]],  # kept column j becomes its rank among the kept
+        np.concatenate([[0], np.cumsum(np.diff(core.indptr)[rows])]),
+    )
     names = partial(_names, core._row_names, rows)
-    reduced = core.derive(A[rows][:, kept], core.senses[rows], core.rhs[rows], names, core.census, keep=kept)
+    reduced = core.derive(sub, core.senses[rows], core.rhs[rows], names, core.census, keep=kept)
     return reduced, lift
 
 
@@ -845,10 +912,10 @@ def build_lp3_core(
     if not any(l.k >= 3 for l in mixed):
         census = {"triangle": census["triangle"]}
     census["triangle_active"] = 0
-    A, senses, rhs = _emit_rows(len(var_ids), groups)
+    rows, senses, rhs = _emit_rows(groups)
     ks = "-".join(str(l.k) for l in mixed)
     names = partial(_pair_row_names, tables)
-    core = LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, A, senses, rhs, names, census=census)
+    core = LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, rows, senses, rhs, names, census=census)
     core.pair_columns = zc  # built above from the same columns
     return core
 

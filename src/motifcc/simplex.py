@@ -122,7 +122,7 @@ def verify_solution(problem, solution, tol: float = 1e-6) -> ViolationReport:
         x = np.zeros(problem.num_vars)
         for name, value in solution.items():
             x[known[name]] = float(value)
-    gap = problem.A @ x - problem.rhs
+    gap = problem.row_activity(x) - problem.rhs
     senses = problem.senses
     # every comparison with NaN is false, so non-finite values are caught
     # on their own and reported as an infinite violation
@@ -209,16 +209,17 @@ class HighsModel:
             lp.num_row_ = lp.a_matrix_.num_row_ = problem.num_rows
             lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.obj, problem.lb, problem.ub
             lp.row_lower_, lp.row_upper_ = _row_bounds(problem)
-            A = problem.A.tocsc()
             lp.a_matrix_.format_ = self.core.MatrixFormat.kColwise
-            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = A.indptr, A.indices, A.data
+            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = problem.colwise()
             status = h.passModel(lp)
         elif problem.num_vars != h.getNumCol() or problem.num_rows < held:
             raise InvalidParameterError("the problem does not extend the LP HiGHS holds")
         elif problem.num_rows > held:
-            new = problem.A[held:].tocsr()
+            lo, nnz = problem.indptr[held], problem.indptr[-1] - problem.indptr[held]
             lower, upper = _row_bounds(problem, held)
-            status = h.addRows(len(lower), lower, upper, new.nnz, new.indptr, new.indices, new.data)
+            status = h.addRows(
+                len(lower), lower, upper, nnz, problem.indptr[held:] - lo, problem.indices[lo:], problem.data[lo:]
+            )
         else:
             return
         if status == self.core.HighsStatus.kError:

@@ -8,6 +8,7 @@ the package internals they check.
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -29,6 +30,28 @@ def all_partitions(n: int):
         del labels[i]
 
     yield from rec(1, {}, 0)
+
+
+def partitions_blocks(n: int) -> Iterator[list[list[int]]]:
+    """Independent enumerator: grow block lists vertex by vertex.
+
+    Yields each partition of [1..n] exactly once as sorted block lists;
+    used to cross-check partitions_rgs.
+    """
+
+    def rec(v: int, blocks: list[list[int]]) -> Iterator[list[list[int]]]:
+        if v > n:
+            yield [list(b) for b in blocks]
+            return
+        for blk in blocks:
+            blk.append(v)
+            yield from rec(v + 1, blocks)
+            blk.pop()
+        blocks.append([v])
+        yield from rec(v + 1, blocks)
+        blocks.pop()
+
+    yield from rec(1, [])
 
 
 def brute_force_cost(labels: dict, tuples_with_weights) -> float:

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import all_partitions
+from conftest import all_partitions, partitions_blocks
 from motifcc.errors import InvalidParameterError, SizeLimitError
 from motifcc.exact import (
     ClusteringReport,
     bell_number,
     exact_min_disagree,
-    partitions_blocks,
     partitions_rgs,
 )
 from motifcc.graph import Partition

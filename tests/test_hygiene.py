@@ -1,13 +1,17 @@
-"""Source hygiene: no unused imports in the package, every CLI command
-in the README's quick start still parses, and the README's weight-spec and
-Python API examples run."""
+"""Source hygiene: no unused imports in the package, no run of a command
+imports ``scipy.sparse`` or ``scipy.optimize``, every CLI command in the
+README's quick start still parses, and the README's weight-spec and Python
+API examples run."""
 
 import ast
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +69,62 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "def f(x: 'Iterable[int]') -> None:\n    return None\n"
     )
     assert unused_imports(module) == ["1: os", "3: List"]
+
+
+# Runs one command of each kind in this interpreter, then prints the exit
+# codes and which of scipy.sparse and scipy.optimize got imported.
+FRESH_RUN = """
+import contextlib, io, json, sys
+from pathlib import Path
+from motifcc.cli import main
+from motifcc.generators import fig2_weights, make_fixture
+from motifcc.lpmodel import build_lp2
+
+tmp = Path(sys.argv[1])
+graph = make_fixture("fig2a", {}).graph
+build_lp2(fig2_weights(graph).layers[0].weights, graph.n).to_text(str(tmp / "lp2.txt"))
+fig2a = ["--generator", "fig2a", "--weights", "fig2"]
+commands = [
+    ["solve", *fig2a],
+    ["solve", "--lp-dump", str(tmp / "lp2.txt"), "--solution-out", str(tmp / "sol.json")],
+    ["solve", *fig2a, "--relaxation", "LP1"],
+    ["exact", *fig2a],
+    ["baseline", *fig2a, "--kind", "vertex"],
+    ["verify", "--problem", str(tmp / "lp2.txt"), "--solution", str(tmp / "sol.json")],
+]
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps([codes, sorted({"scipy.sparse", "scipy.optimize"} & set(sys.modules))]))
+"""
+
+
+def test_a_run_imports_neither_scipy_sparse_nor_optimize(tmp_path):
+    """The rows are numpy arrays and HiGHS is loaded on its own, so
+    ``scipy.sparse`` (about 0.2 s and 20 MB) and ``scipy.optimize`` stay out
+    of every command."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, imported = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [cli.EXIT_OK] * 6
+    assert imported == []
+
+
+def test_only_lpmodel_reads_the_scipy_view():
+    """``LpProblem.A`` builds a scipy matrix, which the solve path must not
+    need: outside ``lpmodel`` the package reads the row arrays."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "lpmodel.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "A"
+    ]
+    assert readers == []
 
 
 def quick_start_commands() -> list[str]:
