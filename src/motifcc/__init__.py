@@ -65,7 +65,6 @@ from .rounding import (
     RoundingParams,
     RoundingTrace,
     certify,
-    edge_scores_alg1,
     recommended_params,
     round_alg1,
     round_alg2,
@@ -134,7 +133,6 @@ __all__ = [
     "compare",
     "count_upsilon",
     "directed_cycle_rule",
-    "edge_scores_alg1",
     "enumerate_ktuples",
     "evaluate_objective",
     "exact_min_disagree",

@@ -285,7 +285,14 @@ def _cmd_verify(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("solve", "round", "exact", "baseline", "generate", "compare", "verify")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, when ``command`` names one, of
+    that subcommand's arguments only: argparse sets up a help formatter for
+    each argument added, most of a command's parse time.  Every subcommand
+    is still listed, so the top-level help and its errors stay the same."""
     parser = argparse.ArgumentParser(
         prog="motifcc",
         description="Motif correlation clustering: LP relaxations solved by row "
@@ -293,84 +300,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="run the full pipeline (or solve an LP dump)")
-    _add_instance_args(p)
-    _add_weight_args(p)
-    p.add_argument("--relaxation", default="auto", choices=["auto", "LP1", "LP2", "LP3"])
-    p.add_argument("--alpha", type=float, help="rounding radius parameter")
-    p.add_argument("--beta", type=float, help="pair-score threshold parameter")
-    p.add_argument("--pivot-rule", default="lowest", choices=["lowest", "random"])
-    p.add_argument("--leftover", default="together", choices=["together", "singletons"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
-    p.add_argument("--max-iterations", type=int, default=200_000)
-    p.add_argument("--out", help="write the run report JSON here")
-    p.add_argument("--trace", help="write the rounding trace (JSON lines) here")
-    p.add_argument("--lp-dump", help="solve this problem dump instead of building one")
-    p.add_argument("--solution-out", help="with --lp-dump: write the solution JSON here")
-    p.set_defaults(func=_cmd_solve)
+    def subcommand(name: str, text: str, func) -> argparse.ArgumentParser | None:
+        """The subparser ``name``, if its arguments are to be added."""
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
+        return p if command in (None, name) or command not in COMMANDS else None
 
-    p = sub.add_parser("round", help="round a saved fractional solution")
-    p.add_argument("--solution", required=True, help="fractional solution JSON")
-    p.add_argument("--n", type=int, required=True, help="number of vertices")
-    p.add_argument("--k", type=int, required=True, help="motif size")
-    p.add_argument("--algorithm", default="alg2", choices=["alg1", "alg2"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--pivot-rule", default="lowest", choices=["lowest", "random"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--trace")
-    p.set_defaults(func=_cmd_round)
+    if p := subcommand("solve", "run the full pipeline (or solve an LP dump)", _cmd_solve):
+        _add_instance_args(p)
+        _add_weight_args(p)
+        p.add_argument("--relaxation", default="auto", choices=["auto", "LP1", "LP2", "LP3"])
+        p.add_argument("--alpha", type=float, help="rounding radius parameter")
+        p.add_argument("--beta", type=float, help="pair-score threshold parameter")
+        p.add_argument("--pivot-rule", default="lowest", choices=["lowest", "random"])
+        p.add_argument("--leftover", default="together", choices=["together", "singletons"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-7, help="solver tolerance")
+        p.add_argument("--max-iterations", type=int, default=200_000)
+        p.add_argument("--out", help="write the run report JSON here")
+        p.add_argument("--trace", help="write the rounding trace (JSON lines) here")
+        p.add_argument("--lp-dump", help="solve this problem dump instead of building one")
+        p.add_argument("--solution-out", help="with --lp-dump: write the solution JSON here")
 
-    p = sub.add_parser("exact", help="exhaustive minimum-disagreement clustering")
-    _add_instance_args(p)
-    _add_weight_args(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=10, help="refuse instances with n above this")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_exact)
+    if p := subcommand("round", "round a saved fractional solution", _cmd_round):
+        p.add_argument("--solution", required=True, help="fractional solution JSON")
+        p.add_argument("--n", type=int, required=True, help="number of vertices")
+        p.add_argument("--k", type=int, required=True, help="motif size")
+        p.add_argument("--algorithm", default="alg2", choices=["alg1", "alg2"])
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--beta", type=float)
+        p.add_argument("--pivot-rule", default="lowest", choices=["lowest", "random"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out")
+        p.add_argument("--trace")
 
-    p = sub.add_parser("baseline", help="randomized pivot heuristics")
-    _add_instance_args(p)
-    _add_weight_args(p)
-    p.add_argument("--kind", required=True, choices=["vertex", "edge"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--num-seeds", type=int, default=1, help="run seeds seed..seed+n-1")
-    p.add_argument("--first-edge", metavar="U,V", help="force the first pivot edge")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_baseline)
+    if p := subcommand("exact", "exhaustive minimum-disagreement clustering", _cmd_exact):
+        _add_instance_args(p)
+        _add_weight_args(p)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cap", type=int, default=10, help="refuse instances with n above this")
+        p.add_argument("--out")
 
-    p = sub.add_parser("generate", help="write a named instance to a directory")
-    p.add_argument("--name", required=True, choices=sorted(GENERATORS))
-    p.add_argument(
-        "--generator-arg",
-        action="append",
-        default=[],
-        type=_parse_generator_arg,
-        metavar="KEY=VALUE",
-    )
-    p.add_argument("--out-dir", default=".")
-    p.set_defaults(func=_cmd_generate)
+    if p := subcommand("baseline", "randomized pivot heuristics", _cmd_baseline):
+        _add_instance_args(p)
+        _add_weight_args(p)
+        p.add_argument("--kind", required=True, choices=["vertex", "edge"])
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--num-seeds", type=int, default=1, help="run seeds seed..seed+n-1")
+        p.add_argument("--first-edge", metavar="U,V", help="force the first pivot edge")
+        p.add_argument("--out")
 
-    p = sub.add_parser("compare", help="run several configs on one instance")
-    p.add_argument("--config", required=True, help="JSON file with 'runs' (list of run configs)")
-    p.add_argument("--out-json")
-    p.add_argument("--out-csv")
-    p.set_defaults(func=_cmd_compare)
+    if p := subcommand("generate", "write a named instance to a directory", _cmd_generate):
+        p.add_argument("--name", required=True, choices=sorted(GENERATORS))
+        p.add_argument(
+            "--generator-arg",
+            action="append",
+            default=[],
+            type=_parse_generator_arg,
+            metavar="KEY=VALUE",
+        )
+        p.add_argument("--out-dir", default=".")
 
-    p = sub.add_parser("verify", help="check a solution against a problem dump")
-    p.add_argument("--problem", required=True, help="problem dump written by to_text()")
-    p.add_argument("--solution", required=True, help="solution JSON (or name->value map)")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.set_defaults(func=_cmd_verify)
+    if p := subcommand("compare", "run several configs on one instance", _cmd_compare):
+        p.add_argument("--config", required=True, help="JSON file with 'runs' (list of run configs)")
+        p.add_argument("--out-json")
+        p.add_argument("--out-csv")
+
+    if p := subcommand("verify", "check a solution against a problem dump", _cmd_verify):
+        p.add_argument("--problem", required=True, help="problem dump written by to_text()")
+        p.add_argument("--solution", required=True, help="solution JSON (or name->value map)")
+        p.add_argument("--tol", type=float, default=1e-6)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except CertificateViolationError as exc:

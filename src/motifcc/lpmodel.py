@@ -36,10 +36,13 @@ sparse module: ``LpProblem.row_activity`` sums each row in index order as
 scipy's CSR product does, and ``LpProblem.A``, the scipy matrix the tests
 and the benchmark's tracer read, is built on first read.
 
-The LP2/LP3 set-up works on arrays: O(rows) numpy work, one object per
-column, and one pair-column map per fresh column list (an (n+1)² matrix)
-that the LPs ``LpProblem.derive`` makes from it (the reduced LP, every
-round) reuse.  Row names are formatted only when ``row_names`` is read.
+The columns are arrays too: a built LP names them by blocks, an (m, k)
+array of k-tuples per layer and the (p, 2) array of pairs (``Columns``),
+so a solve makes no ``VarId``; dumps, solution JSON and tests read them.
+The LP2/LP3 set-up is O(rows) numpy work, with one pair-column map and
+one C(n,3) triple list per fresh column list, which the LPs
+``LpProblem.derive`` makes from it (the reduced LP, every round) reuse.
+Row names are formatted only when ``row_names`` is read.
 
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
 an explicit constant ``offset`` (Σ w-), so LP objective values are directly
@@ -63,7 +66,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidParameterError, SizeLimitError, as_number
-from .graph import KTuple, Partition, canonical_tuple, enumerate_ktuples
+from .graph import KTuple, Partition, canonical_tuple
 from .motifs import MixedWeights, MotifWeights
 from . import kernels
 
@@ -109,6 +112,90 @@ class VarId:
         return cls("named", (name,))
 
 
+class Columns:
+    """An LP's column identities in column order, as blocks of keys: an
+    (m, k) int array of k-tuples (kind "tuple", one x_K per row) or the
+    (p, 2) array of vertex pairs (kind "pair", one z_uv per row).  Columns
+    given as VarIds (a dump, an LP built by hand) are kept as that list.
+    Indexing and iterating give VarIds, made from blocks on first read;
+    ``groups`` gives the keys as arrays without them."""
+
+    def __init__(self, blocks: list[tuple[str, np.ndarray]] | None, var_ids: list[VarId] | None = None):
+        self.blocks = blocks
+        if blocks is None:
+            self.var_ids = list(var_ids)
+        self._len = len(self.var_ids) if blocks is None else sum(len(keys) for _, keys in blocks)
+
+    @classmethod
+    def of(cls, columns) -> "Columns":
+        """``columns`` itself, or the Columns of a VarId sequence."""
+        return columns if isinstance(columns, Columns) else cls(None, columns)
+
+    @cached_property
+    def var_ids(self) -> list[VarId]:
+        return [VarId(kind, key) for kind, keys in self.blocks for key in map(tuple, keys.tolist())]
+
+    @cached_property
+    def col_index(self) -> dict[VarId, int]:
+        return {vid: j for j, vid in enumerate(self.var_ids)}
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, j):
+        return self.var_ids[j]
+
+    def __eq__(self, other) -> bool:
+        return self.var_ids == list(other) if isinstance(other, (Columns, list)) else NotImplemented
+
+    @cached_property
+    def groups(self) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
+        """Per (kind, key length), tuples and pairs only: the columns of
+        that kind in increasing order, and their keys as rows."""
+        found: dict = {}
+        if self.blocks is None:
+            for j, vid in enumerate(self.var_ids):
+                if vid.kind != "named":
+                    found.setdefault((vid.kind, len(vid.key)), []).append((j, vid.key))
+            return {g: tuple(np.array(part, dtype=np.int64) for part in zip(*cols)) for g, cols in found.items()}
+        start = 0
+        for kind, keys in self.blocks:
+            found.setdefault((kind, keys.shape[1]), []).append((np.arange(start, start + len(keys)), keys))
+            start += len(keys)
+        return {g: tuple(np.concatenate(part) for part in zip(*blocks)) for g, blocks in found.items()}
+
+    def check_distinct(self) -> None:
+        """Raise InvalidParameterError if two columns have one identity."""
+        if self.blocks is None:
+            distinct = len(set(self.var_ids)) == len(self)
+        else:
+            distinct = all(len(first_rows(keys)) == len(keys) for _, keys in self.groups.values())
+        if not distinct:
+            raise InvalidParameterError("duplicate variable ids")
+
+    def take(self, keep: np.ndarray) -> "Columns":
+        """The columns at the increasing indices ``keep``."""
+        if self.blocks is None:
+            return Columns(None, [self.var_ids[j] for j in keep.tolist()])
+        blocks, start = [], 0
+        for kind, keys in self.blocks:
+            blocks.append((kind, keys[keep[(keep >= start) & (keep < start + len(keys))] - start]))
+            start += len(keys)
+        return Columns(blocks)
+
+
+def first_rows(rows: np.ndarray) -> np.ndarray:
+    """``np.unique(rows, axis=0, return_index=True)[1]`` of an (m, w) int
+    array: the index of the first of each distinct row, in the rows'
+    lexicographic order.  Each row is read as one number in base
+    (max - min + 1), first column highest, when that fits in an int64."""
+    lo, width = rows.min(initial=0), rows.shape[1]
+    base = int(rows.max(initial=0)) - int(lo) + 1
+    if base**width >= 2**63:
+        return np.unique(rows, axis=0, return_index=True)[1]
+    return np.unique((rows - lo) @ base ** np.arange(width - 1, -1, -1, dtype=np.int64), return_index=True)[1]
+
+
 @dataclass
 class LinearConstraint:
     name: str
@@ -129,6 +216,9 @@ class LinearConstraint:
 class LpProblem:
     """An immutable minimize-LP over [0,1]-bounded variables.
 
+    ``columns`` (``Columns``; the constructor takes a VarId list too)
+    names the columns, and ``var_ids`` and ``col_index`` are made from it
+    on first read.
     The rows are a CSR triple of arrays: row i holds the coefficients
     ``data[indptr[i]:indptr[i+1]]`` at the columns ``indices[...]`` of the
     same slice.  ``rows`` is that triple (data, indices, indptr) or any
@@ -158,19 +248,19 @@ class LpProblem:
         ub: np.ndarray | None = None,
     ):
         self.name = name
-        self.var_ids = list(var_ids)
-        if len(set(self.var_ids)) != len(self.var_ids):
-            raise InvalidParameterError("duplicate variable ids")
+        self.columns = Columns.of(var_ids)
+        self.columns.check_distinct()
         self.obj = np.asarray(obj, dtype=float)
         self.offset = float(offset)
         self.senses = np.asarray(senses, dtype=np.int8)
         self.rhs = np.asarray(rhs, dtype=float)
         self.census = dict(census or {})
-        n = len(self.var_ids)
+        n = len(self.columns)
         self.lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
         self.ub = np.ones(n) if ub is None else np.asarray(ub, dtype=float)
         self.A = rows
         self._row_names = row_names if callable(row_names) else self._checked_names(row_names)
+        self._triples: list[np.ndarray] = []  # a list the LPs derive makes share
 
     def _checked_names(self, names) -> list[str]:
         names = list(names)
@@ -234,25 +324,36 @@ class LpProblem:
             self._row_names = self._checked_names(self._row_names())
         return self._row_names
 
-    @cached_property
+    @property
+    def var_ids(self) -> list[VarId]:
+        return self.columns.var_ids
+
+    @property
     def col_index(self) -> dict[VarId, int]:
-        return {vid: j for j, vid in enumerate(self.var_ids)}
+        return self.columns.col_index
 
     @cached_property
     def pair_columns(self) -> np.ndarray | None:
-        return _pair_column_matrix(self.var_ids)
+        return _pair_column_matrix(self.columns)
+
+    @property
+    def triples(self) -> np.ndarray:
+        """``_triples`` of the pair columns' vertices, enumerated once for
+        this LP and every LP ``derive`` makes from it (the vertices stay)."""
+        if not self._triples:
+            self._triples.append(_triples(self.pair_columns.shape[0] - 1))
+        return self._triples[0]
 
     def derive(self, rows, senses, rhs, row_names, census, keep: np.ndarray | None = None) -> "LpProblem":
-        """This LP's columns, or the subset ``keep`` (indices, in order), under
+        """This LP's columns, or the subset ``keep`` (increasing indices), under
         new rows, a CSR triple over those columns; neither the column list
         nor the rows are checked again."""
         lp = copy.copy(self)
         (lp.data, lp.indices, lp.indptr), lp._A = rows, None
         lp.senses, lp.rhs, lp._row_names, lp.census = senses, rhs, row_names, dict(census)
         if keep is not None:
-            lp.var_ids = [self.var_ids[j] for j in keep.tolist()]
+            lp.columns = self.columns.take(keep)
             lp.obj, lp.lb, lp.ub = self.obj[keep], self.lb[keep], self.ub[keep]
-            lp.__dict__.pop("col_index", None)  # it indexed the parent's columns
             at = np.full(self.num_vars + 1, -1, dtype=np.int64)  # at[-1] maps "no column" to itself
             at[keep] = np.arange(len(keep))
             lp.pair_columns = None if self.pair_columns is None else at[self.pair_columns]
@@ -260,7 +361,7 @@ class LpProblem:
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_ids)
+        return len(self.columns)
 
     @property
     def num_rows(self) -> int:
@@ -400,44 +501,49 @@ def _parse_dump_line(section: str, ln: str) -> tuple:
 
 @dataclass
 class FractionalSolution:
-    """Variable values aligned with an LpProblem's column order."""
+    """Variable values aligned with an LpProblem's column order.
+    ``columns`` is the LP's ``Columns`` (a VarId list is taken too), so a
+    solver's point carries the column blocks, and ``var_ids`` is made from
+    them only when read."""
 
-    var_ids: list[VarId]
+    columns: Columns
     values: np.ndarray
     objective_value: float
     status: str  # optimal | infeasible | unbounded | feasible
 
     def __post_init__(self):
+        self.columns = Columns.of(self.columns)
         self.values = np.asarray(self.values, dtype=float)
 
-    @cached_property
-    def _index(self) -> dict[VarId, int]:
-        return {vid: j for j, vid in enumerate(self.var_ids)}
+    @property
+    def var_ids(self) -> list[VarId]:
+        return self.columns.var_ids
 
     def value(self, vid: VarId) -> float:
-        return float(self.values[self._index[vid]])
+        return float(self.values[self.columns.col_index[vid]])
 
     def __getitem__(self, key) -> float:
         if isinstance(key, VarId):
             return self.value(key)
         t = canonical_tuple(key)
-        if VarId("tuple", t) in self._index:
+        if VarId("tuple", t) in self.columns.col_index:
             return self.value(VarId("tuple", t))
         return self.value(VarId("pair", t))
 
+    def keyed(self, kind: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The keys (an (m, k) array) and values of the ``kind`` columns
+        with k-vertex keys, in column order."""
+        none = (np.empty(0, dtype=np.int64), np.empty((0, k), dtype=np.int64))
+        cols, keys = self.columns.groups.get((kind, k), none)
+        return keys, self.values[cols]
+
     def tuple_values(self, k: int) -> dict[KTuple, float]:
-        return {
-            vid.key: float(v)
-            for vid, v in zip(self.var_ids, self.values)
-            if vid.kind == "tuple" and len(vid.key) == k
-        }
+        keys, values = self.keyed("tuple", k)
+        return dict(zip(map(tuple, keys.tolist()), values.tolist()))
 
     def pair_values(self) -> dict[KTuple, float]:
-        return {
-            vid.key: float(v)
-            for vid, v in zip(self.var_ids, self.values)
-            if vid.kind == "pair"
-        }
+        keys, values = self.keyed("pair", 2)
+        return dict(zip(map(tuple, keys.tolist()), values.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -519,9 +625,8 @@ def build_lp1_core(
             f"LP1 would need {est} constraints (cap {cap}); pass max_constraints to override"
         )
     table = weights.tuple_table()
-    var_ids = [VarId("tuple", t) for t in map(tuple, table.tuples.tolist())]
     return LpProblem(
-        f"lp1_n{n}_k{k}", var_ids, 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
+        f"lp1_n{n}_k{k}", Columns([("tuple", table.tuples)]), 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
         (np.empty(0), np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)), np.empty(0, dtype=np.int8),
         np.empty(0), [],
         census={"upsilon": est, "upsilon_active": 0},
@@ -624,11 +729,11 @@ def separate_upsilon(problem: LpProblem, values: np.ndarray, tol: float) -> np.n
     """
     if "upsilon" not in problem.census:
         return np.empty((0, 4), dtype=np.int64)
-    last = problem.var_ids[-1].key  # LP1's columns are the k-tuples of 1..n in order
+    ((_, tuples),) = problem.columns.groups.values()  # LP1's columns: the k-tuples of 1..n in order
     x = np.asarray(values, dtype=float)
     top = x.max()
     found = [np.empty((0, 4), dtype=np.int64)]
-    for ids, cols in _upsilon_rows(last[-1], len(last), lambda K1, K2: (top - x[K1]) - x[K2] > tol):
+    for ids, cols in _upsilon_rows(int(tuples[-1, -1]), tuples.shape[1], lambda K1, K2: (top - x[K1]) - x[K2] > tol):
         hit = np.nonzero((x[cols[:, 0]] - x[cols[:, 1]]) - x[cols[:, 2]] > tol)[0]
         found.append(np.column_stack([ids[hit], cols[hit]]))
     return np.concatenate(found)
@@ -698,16 +803,16 @@ def all_triangles(n: int) -> np.ndarray:
     return np.column_stack([np.repeat(abc, 3, axis=0), abc.ravel()])
 
 
-def _pair_column_matrix(var_ids: list[VarId]) -> np.ndarray | None:
+def _pair_column_matrix(columns) -> np.ndarray | None:
     """Symmetric (n+1)x(n+1) matrix of z-column indices (-1 where there is
-    no z variable), or None for columns without pair variables."""
-    pairs = [(vid.key, j) for j, vid in enumerate(var_ids) if vid.kind == "pair"]
-    if not pairs:
+    no z variable), or None for columns without pair variables.
+    ``columns`` is a ``Columns`` or a VarId list."""
+    cols, pairs = Columns.of(columns).groups.get(("pair", 2), ((), None))
+    if not len(cols):
         return None
-    n = max(key[1] for key, _ in pairs)
+    n = int(pairs.max())
     zc = np.full((n + 1, n + 1), -1, dtype=np.int64)
-    for (u, v), j in pairs:
-        zc[u, v] = zc[v, u] = j
+    zc[pairs[:, 0], pairs[:, 1]] = zc[pairs[:, 1], pairs[:, 0]] = cols
     return zc
 
 
@@ -768,7 +873,7 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
     if zc is None:
         return np.empty((0, 4), dtype=np.int64)
     Z = np.where(zc >= 0, np.asarray(values, dtype=float)[zc], 0.0)
-    abc = _triples(zc.shape[0] - 1)
+    abc = problem.triples
     a, b, c = abc.T
     ab, ac, bc = Z[a, b], Z[a, c], Z[b, c]
     # apex a: z_bc <= z_ab + z_ac; apex b: z_ac <= z_ab + z_bc; apex c: z_ab <= z_ac + z_bc
@@ -782,24 +887,25 @@ class TupleLift:
     onto the LP it was given: every left-out x_K becomes max over the pairs
     uv of K of z_uv, every other value is kept."""
 
-    def __init__(self, var_ids: list[VarId], kept: np.ndarray, dropped: np.ndarray, zc: np.ndarray | None):
-        self.var_ids = var_ids
+    def __init__(self, columns: Columns, kept: np.ndarray, dropped: np.ndarray, zc: np.ndarray | None):
+        self.columns = columns
         self.kept = kept  # full-LP columns of the reduced LP, in its order
         self.dropped = dropped  # full-LP columns left out
         self._groups = []  # (tuple columns, their pair columns) per tuple size
-        keys = [var_ids[j].key for j in dropped.tolist()]
-        for k in sorted({len(key) for key in keys}):
-            cols = np.array([j for j, key in zip(dropped.tolist(), keys) if len(key) == k], dtype=np.int64)
-            tup = np.array([key for key in keys if len(key) == k], dtype=np.int64).reshape(-1, k)
-            i, j = np.array(list(combinations(range(k), 2))).T
-            self._groups.append((cols, zc[tup[:, i], tup[:, j]]))
+        left = np.zeros(len(columns), dtype=bool)
+        left[dropped] = True
+        for (kind, k), (cols, tup) in sorted(columns.groups.items()):
+            if kind == "tuple" and left[cols].any():
+                cols, tup = cols[left[cols]], tup[left[cols]]
+                i, j = np.array(list(combinations(range(k), 2))).T
+                self._groups.append((cols, zc[tup[:, i], tup[:, j]]))
 
     def __call__(self, solution: FractionalSolution) -> FractionalSolution:
-        values = np.zeros(len(self.var_ids))
+        values = np.zeros(len(self.columns))
         values[self.kept] = solution.values
         for cols, pair_cols in self._groups:
             values[cols] = values[pair_cols].max(axis=1)
-        return FractionalSolution(self.var_ids, values, solution.objective_value, solution.status)
+        return FractionalSolution(self.columns, values, solution.objective_value, solution.status)
 
 
 def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
@@ -827,9 +933,12 @@ def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
     rows tie tuple columns to each other, so the argument does not hold.
     """
     zc = core.pair_columns
-    drop = np.array([v.kind == "tuple" and zc is not None for v in core.var_ids], dtype=bool) & (core.obj == 0.0)
+    drop = np.zeros(core.num_vars, dtype=bool)
+    for (kind, _), (cols, _) in core.columns.groups.items():
+        drop[cols] = kind == "tuple" and zc is not None
+    drop &= core.obj == 0.0
     kept, dropped = np.nonzero(~drop)[0], np.nonzero(drop)[0]
-    lift = TupleLift(core.var_ids, kept, dropped, zc)
+    lift = TupleLift(core.columns, kept, dropped, zc)
     if not len(dropped):
         return core, lift
     entry_rows = core._entry_rows()
@@ -878,17 +987,17 @@ def build_lp3_core(
         raise SizeLimitError(
             f"LP3 would need {est} rows (cap {cap}); pass max_constraints to override"
         )
-    pairs = list(enumerate_ktuples(range(1, n + 1), 2))
-    var_ids: list[VarId] = []
+    blocks: list[tuple[str, np.ndarray]] = []
     base: dict[int, int] = {}  # layer k -> column of its first variable
     for layer in mixed:
         if layer.k < 3:
             continue
-        base[layer.k] = len(var_ids)
-        var_ids.extend(VarId("tuple", tuple(t)) for t in layer.weights.tuple_table().tuples.tolist())
-    zbase = len(var_ids)
-    var_ids.extend(VarId("pair", p) for p in pairs)
-    obj = np.zeros(len(var_ids))
+        base[layer.k] = sum(len(keys) for _, keys in blocks)
+        blocks.append(("tuple", layer.weights.tuple_table().tuples))
+    zbase = sum(len(keys) for _, keys in blocks)
+    blocks.append(("pair", np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1)) + 1))  # u < v, lexicographic
+    columns = Columns(blocks)
+    obj = np.zeros(len(columns))
     offset = 0.0
     for layer in mixed:
         # a k=2 layer's table lists the pairs in z-column order
@@ -896,7 +1005,7 @@ def build_lp3_core(
         lo = base.get(layer.k, zbase)
         obj[lo : lo + len(wplus)] += layer.lam * (2.0 * wplus - 1.0)
         offset += layer.lam * float((1.0 - wplus).sum())
-    zc = _pair_column_matrix(var_ids)
+    zc = _pair_column_matrix(columns)
     groups, tables = [], []
     census: dict[str, int] = {"pair_floor": 0, "pair_sum_cap": 0, "unit_cap": 0}
     for layer in mixed:
@@ -915,7 +1024,7 @@ def build_lp3_core(
     rows, senses, rhs = _emit_rows(groups)
     ks = "-".join(str(l.k) for l in mixed)
     names = partial(_pair_row_names, tables)
-    core = LpProblem(f"lp3_n{n}_k{ks}", var_ids, obj, offset, rows, senses, rhs, names, census=census)
+    core = LpProblem(f"lp3_n{n}_k{ks}", columns, obj, offset, rows, senses, rhs, names, census=census)
     core.pair_columns = zc  # built above from the same columns
     return core
 
@@ -932,7 +1041,7 @@ def induced_point(partition: Partition, problem: LpProblem) -> FractionalSolutio
             raise InvalidParameterError(f"cannot induce a value for free variable {vid.name}")
         values[j] = 1.0 if partition.is_split(vid.key) else 0.0
     objective = float(problem.obj @ values) + problem.offset
-    return FractionalSolution(problem.var_ids, values, objective, "feasible")
+    return FractionalSolution(problem.columns, values, objective, "feasible")
 
 
 def _labels(partition: Partition, mixed: MixedWeights) -> np.ndarray:

@@ -59,6 +59,7 @@ from .lpmodel import (
     build_lp3_core,
     drop_zero_cost_tuples,
     evaluate_objective,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.evaluate_objective
+    first_rows,
     induced_point,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.induced_point
     per_class_breakdown,
     separate_triangles,
@@ -321,10 +322,10 @@ def solve_relaxation(core: LpProblem, config: SolverConfig) -> RelaxationSolve:
         violated = family.separate(problem, result.solution.values, config.tol)
         # a row already in the LP can show up again within rounding of tol
         both = np.concatenate([active, violated])
-        first = np.unique(both, axis=0, return_index=True)[1]
+        first = first_rows(both)
         added = both[np.sort(first[first >= len(active)])]
         if not len(added):
-            full = problem if reduced is core else family.add(core, np.unique(active, axis=0))
+            full = problem if reduced is core else family.add(core, active[first_rows(active)])
             return RelaxationSolve(full, lift(result.solution), problem, rounds)
         active = np.concatenate([active, added])
         problem = family.add(problem, added)

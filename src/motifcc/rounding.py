@@ -96,41 +96,18 @@ class RoundingTrace:
 
 
 def _tuple_arrays(x, k: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Extract (tuples, values, n) from a solution or {tuple: value} map."""
+    """(tuples, values, n) of the k-tuple columns of a solution or of a
+    {tuple: value} map, the tuples in lexicographic order."""
     if isinstance(x, FractionalSolution):
-        x = x.tuple_values(k)
-    if not x:
+        tuples, vals = x.keyed("tuple", k)
+        order = np.lexsort(tuples.T[::-1])
+        tuples, vals = tuples[order], vals[order]
+    else:
+        keys = sorted(x)
+        tuples, vals = np.array(keys, dtype=np.int64), np.array([x[t] for t in keys])
+    if not len(tuples):
         raise InvalidParameterError(f"no tuple variables of size {k} in the solution")
-    keys = sorted(x)
-    tuples = np.array(keys, dtype=np.int64)
-    vals = np.array([x[t] for t in keys])
     return tuples, vals, int(tuples.max())
-
-
-def edge_scores_alg1(x, S, v: int, *, k: int | None = None) -> dict[int, float]:
-    """y_vu = min over k-tuples K within S containing v and u of x_K.
-
-    ``x`` is a FractionalSolution or {ktuple: value}; ``k`` defaults to the
-    tuple size found in x.  Requires |S| >= k and v in S.
-    """
-    if isinstance(x, FractionalSolution):
-        sizes = {len(vid.key) for vid in x.var_ids if vid.kind == "tuple"}
-        if k is None:
-            if len(sizes) != 1:
-                raise InvalidParameterError(f"ambiguous tuple size {sizes}; pass k")
-            k = sizes.pop()
-    elif k is None:
-        k = len(next(iter(x)))
-    S = set(S)
-    if len(S) < k:
-        raise InvalidParameterError(f"|S|={len(S)} below tuple size k={k}")
-    if v not in S:
-        raise InvalidParameterError(f"pivot {v} not in S")
-    tuples, vals, nmax = _tuple_arrays(x, k)
-    active = np.zeros(max(nmax, max(S)) + 1, dtype=bool)
-    active[list(S)] = True
-    y = kernels.pair_min_scores(tuples, vals, active, v)
-    return {u: float(y[u]) for u in sorted(S) if u != v}
 
 
 def _check_vertices(labels: np.ndarray, n: int) -> None:
@@ -222,12 +199,17 @@ def round_alg1(
 
 
 def _pair_matrix(z, n: int) -> np.ndarray:
+    """The symmetric matrix of a solution's z values or of a {pair: value}
+    map; a pair listed twice (as u, v and v, u) takes its last value."""
     if isinstance(z, FractionalSolution):
-        z = z.pair_values()
-    _check_vertices(np.array(list(z), dtype=np.int64), n)
+        pairs, vals = z.keyed("pair", 2)
+    else:
+        pairs, vals = np.array(list(z), dtype=np.int64).reshape(-1, 2), list(z.values())
+    _check_vertices(pairs, n)
+    u, v = pairs.min(axis=1), pairs.max(axis=1)
     mat = np.zeros((n + 1, n + 1))
-    for (u, v), val in z.items():
-        mat[u, v] = mat[v, u] = val
+    mat[u, v] = vals
+    mat[v, u] = mat[u, v]
     return mat
 
 

@@ -257,7 +257,7 @@ def _solve_highs(problem: LpProblem, config: SolverConfig, model: HighsModel, t0
     sol = None
     if status == "optimal":
         x = np.asarray(h.getSolution().col_value)
-        sol = FractionalSolution(problem.var_ids, x, float(problem.obj @ x) + problem.offset, "optimal")
+        sol = FractionalSolution(problem.columns, x, float(problem.obj @ x) + problem.offset, "optimal")
     return SolverResult(status, sol, int(h.getInfo().simplex_iteration_count), time.perf_counter() - t0)
 
 

@@ -13,7 +13,8 @@ from typing import Iterator
 import numpy as np
 import pytest
 
-from motifcc import DirectedGraph, Partition, classify
+from motifcc import DirectedGraph, FractionalSolution, InvalidParameterError, Partition, classify, kernels
+from motifcc.rounding import _tuple_arrays
 
 
 def all_partitions(n: int):
@@ -52,6 +53,33 @@ def partitions_blocks(n: int) -> Iterator[list[list[int]]]:
         blocks.pop()
 
     yield from rec(1, [])
+
+
+def edge_scores_alg1(x, S, v: int, *, k: int | None = None) -> dict[int, float]:
+    """y_vu = min over k-tuples K within S containing v and u of x_K, the
+    score ``round_alg1`` grows regions by, read through the same kernel.
+
+    ``x`` is a FractionalSolution or {ktuple: value}; ``k`` defaults to the
+    tuple size found in x.  Requires |S| >= k and v in S.
+    """
+    if isinstance(x, FractionalSolution):
+        sizes = {len(vid.key) for vid in x.var_ids if vid.kind == "tuple"}
+        if k is None:
+            if len(sizes) != 1:
+                raise InvalidParameterError(f"ambiguous tuple size {sizes}; pass k")
+            k = sizes.pop()
+    elif k is None:
+        k = len(next(iter(x)))
+    S = set(S)
+    if len(S) < k:
+        raise InvalidParameterError(f"|S|={len(S)} below tuple size k={k}")
+    if v not in S:
+        raise InvalidParameterError(f"pivot {v} not in S")
+    tuples, vals, nmax = _tuple_arrays(x, k)
+    active = np.zeros(max(nmax, max(S)) + 1, dtype=bool)
+    active[list(S)] = True
+    y = kernels.pair_min_scores(tuples, vals, active, v)
+    return {u: float(y[u]) for u in sorted(S) if u != v}
 
 
 def brute_force_cost(labels: dict, tuples_with_weights) -> float:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from motifcc import pipeline
-from motifcc.cli import EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from motifcc.cli import COMMANDS, EXIT_CERTIFICATE, EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, build_parser, main
 from motifcc.generators import make_fig2a
 from motifcc.lpmodel import VarId, build_lp2
 from motifcc.motifs import MixedWeights, MotifWeights, WeightRule
@@ -533,3 +533,31 @@ class TestParserBasics:
     def test_unknown_choice_is_usage_error(self):
         with pytest.raises(SystemExit):
             main(["solve", "--generator", "marble"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], [], ["marble"], ["solve", "--bogus"], ["round"]] + [[name, "--help"] for name in COMMANDS],
+        ids=" ".join,
+    )
+    def test_a_parser_of_one_command_prints_what_the_full_parser_does(self, argv, capsys):
+        # main adds the arguments of the command argv names only; the full
+        # parser is the one every subcommand's arguments are added to
+        outputs = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            outputs.append((exc.value.code, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][1].out or outputs[0][1].err
+
+    def test_the_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert all(f"    {name} " in out for name in COMMANDS)
+
+    def test_a_parser_for_one_command_adds_no_other_commands_arguments(self, capsys):
+        assert build_parser("solve").parse_args(["solve", "--seed", "1"]).seed == 1
+        with pytest.raises(SystemExit):
+            build_parser("round").parse_args(["solve", "--seed", "1"])
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

@@ -1,7 +1,7 @@
 """Source hygiene: no unused imports in the package, no run of a command
-imports ``scipy.sparse`` or ``scipy.optimize``, every CLI command in the
-README's quick start still parses, and the README's weight-spec and Python
-API examples run."""
+imports ``scipy.sparse`` or ``scipy.optimize`` or makes a ``VarId``, every
+CLI command in the README's quick start still parses, and the README's
+weight-spec and Python API examples run."""
 
 import ast
 import contextlib
@@ -17,6 +17,10 @@ from pathlib import Path
 import pytest
 
 from motifcc import cli
+from motifcc.graph import write_edge_list
+from motifcc.lpmodel import VarId
+
+from test_lp_rows import planted_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted((ROOT / "src" / "motifcc").glob("*.py"))
@@ -171,3 +175,31 @@ def test_readme_python_api_runs(capsys):
     assert result.status == "optimal" and result.pivots == 0 < result.iterations  # solved on HiGHS
     assert sorted(map(sorted, scope["part"].clusters)) == [[1, 2, 3], [4, 5, 6]]
     assert capsys.readouterr().out.startswith("(frozenset({1, 2, 3}), frozenset({4, 5, 6})) 6.86666")
+
+
+def test_a_solve_makes_no_variable_id(tmp_path, monkeypatch):
+    """LP columns are arrays on the solve path (``lpmodel.Columns``): LP1,
+    LP2 and LP3 runs build, solve, check and round without making one
+    ``VarId``, which only dumps, solution JSON and tests read."""
+    made = []
+    init = VarId.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    edges = tmp_path / "planted22.txt"
+    write_edge_list(planted_graph(22), edges)
+    fig2a = ["--generator", "fig2a", "--weights", "fig2"]
+    monkeypatch.setattr(VarId, "__init__", counting)
+    for argv, relaxation in (
+        (["solve", "--input", str(edges), "--undirected", "--method", "MMCC"], "LP3"),
+        (["solve", *fig2a], "LP2"),
+        (["solve", *fig2a, "--relaxation", "LP1"], "LP1"),
+    ):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == cli.EXIT_OK
+        assert json.loads(out.getvalue())["relaxation"] == relaxation
+    assert made == []
+    VarId.pair_var(1, 2)
+    assert made == [("pair", (1, 2))]  # the count sees a VarId made

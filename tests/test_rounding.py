@@ -12,11 +12,12 @@ from motifcc.motifs import MixedWeights, MotifWeights, WeightRule, build_table1_
 from motifcc.rounding import (
     RoundingParams,
     certify,
-    edge_scores_alg1,
     recommended_params,
     round_alg1,
     round_alg2,
 )
+
+from conftest import edge_scores_alg1
 
 
 def valid_partition(partition, n):
