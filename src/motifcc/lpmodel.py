@@ -157,12 +157,12 @@ class Columns:
             for j, vid in enumerate(self.var_ids):
                 if vid.kind != "named":
                     found.setdefault((vid.kind, len(vid.key)), []).append((j, vid.key))
-            return {g: tuple(np.array(part, dtype=np.int64) for part in zip(*cols)) for g, cols in found.items()}
+            return {g: tuple(np.array(a, dtype=np.int64) for a in zip(*entries)) for g, entries in found.items()}
         start = 0
         for kind, keys in self.blocks:
             found.setdefault((kind, keys.shape[1]), []).append((np.arange(start, start + len(keys)), keys))
             start += len(keys)
-        return {g: tuple(np.concatenate(part) for part in zip(*blocks)) for g, blocks in found.items()}
+        return {g: tuple(np.concatenate(a) for a in zip(*parts)) for g, parts in found.items()}
 
     def check_distinct(self) -> None:
         """Raise InvalidParameterError if two columns have one identity."""
