@@ -291,8 +291,9 @@ COMMANDS = ("solve", "round", "exact", "baseline", "generate", "compare", "verif
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or, when ``command`` names one, of
     that subcommand's arguments only: argparse sets up a help formatter for
-    each argument added, most of a command's parse time.  Every subcommand
-    is still listed, so the top-level help and its errors stay the same."""
+    each argument added (``-h`` too), most of a command's parse time.  The
+    other subcommands are still listed, bare, so the top-level help and its
+    errors stay the same."""
     parser = argparse.ArgumentParser(
         prog="motifcc",
         description="Motif correlation clustering: LP relaxations solved by row "
@@ -302,9 +303,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     def subcommand(name: str, text: str, func) -> argparse.ArgumentParser | None:
         """The subparser ``name``, if its arguments are to be added."""
-        p = sub.add_parser(name, help=text)
+        full = command in (None, name) or command not in COMMANDS
+        p = sub.add_parser(name, help=text, add_help=full)
         p.set_defaults(func=func)
-        return p if command in (None, name) or command not in COMMANDS else None
+        return p if full else None
 
     if p := subcommand("solve", "run the full pipeline (or solve an LP dump)", _cmd_solve):
         _add_instance_args(p)

@@ -20,10 +20,13 @@ current LP point, since few of the 3·C(n,3) triangle rows or the
 Θ(n^{2k-1}) Upsilon rows ever bind; the full builds stay for dumps,
 ``verify`` and the tests.  ``_upsilon_rows`` enumerates the Upsilon rows
 in ``build_lp1``'s order a block of tuple pairs at a time, and serves
-both ``build_lp1`` and ``separate_upsilon``.  ``drop_zero_cost_tuples``
-also takes out of the solved LP the tuple columns whose objective
-coefficient is 0 (w+ = 0.5), whose own rows the triangle rows imply, and
-lifts them back from z afterwards.
+both ``build_lp1`` and ``separate_upsilon``.  The solved LP2/LP3 core
+also leaves out the tuple columns whose objective coefficient is 0
+(w+ = 0.5), whose own rows the triangle rows imply: ``build_lp3_core``
+with ``drop_zero_cost`` never builds them, which equals
+``drop_zero_cost_tuples`` of the full core, and its ``TupleLift`` lifts
+them back from z afterwards and gives their rows at the lifted point
+without building them (``left_out_rows``).
 
 Every built row is ``<= 0`` over a fixed pattern of columns, and one
 emitter (``_emit_rows``) writes the rows of all four families from arrays
@@ -41,7 +44,7 @@ array of k-tuples per layer and the (p, 2) array of pairs (``Columns``),
 so a solve makes no ``VarId``; dumps, solution JSON and tests read them.
 The LP2/LP3 set-up is O(rows) numpy work, with one pair-column map and
 one C(n,3) triple list per fresh column list, which the LPs
-``LpProblem.derive`` makes from it (the reduced LP, every round) reuse.
+``LpProblem.derive`` makes from it (every round) reuse.
 Row names are formatted only when ``row_names`` is read.
 
 The objective Σ [w+·x + w-·(1-x)] is stored as coefficients (2w+ - 1) plus
@@ -231,6 +234,8 @@ class LpProblem:
     family "unit_cap" is realized as variable bounds rather than rows, and
     "triangle_active" says how many of the "triangle" family are rows.
     ``row_names`` may be a function giving the list, run on first read.
+    ``lift`` is the ``TupleLift`` of an LP built without its zero-cost
+    tuple columns (``build_lp3_core``), else None; ``derive`` keeps it.
     """
 
     def __init__(
@@ -261,6 +266,7 @@ class LpProblem:
         self.A = rows
         self._row_names = row_names if callable(row_names) else self._checked_names(row_names)
         self._triples: list[np.ndarray] = []  # a list the LPs derive makes share
+        self.lift: TupleLift | None = None
 
     def _checked_names(self, names) -> list[str]:
         names = list(names)
@@ -339,9 +345,12 @@ class LpProblem:
     @property
     def triples(self) -> np.ndarray:
         """``_triples`` of the pair columns' vertices, enumerated once for
-        this LP and every LP ``derive`` makes from it (the vertices stay)."""
+        this LP and every LP ``derive`` makes from it (the vertices stay),
+        beside the flat indices of each triple's pairs ab, ac, bc in an
+        (n+1)x(n+1) matrix, as a (3, T) array (``_triples[1]``)."""
         if not self._triples:
-            self._triples.append(_triples(self.pair_columns.shape[0] - 1))
+            abc = _triples(self.pair_columns.shape[0] - 1)
+            self._triples += [abc, len(self.pair_columns) * abc[:, [0, 0, 1]].T + abc[:, [1, 2, 2]].T]
         return self._triples[0]
 
     def derive(self, rows, senses, rhs, row_names, census, keep: np.ndarray | None = None) -> "LpProblem":
@@ -874,8 +883,7 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
         return np.empty((0, 4), dtype=np.int64)
     Z = np.where(zc >= 0, np.asarray(values, dtype=float)[zc], 0.0)
     abc = problem.triples
-    a, b, c = abc.T
-    ab, ac, bc = Z[a, b], Z[a, c], Z[b, c]
+    ab, ac, bc = Z.ravel()[problem._triples[1]]
     # apex a: z_bc <= z_ab + z_ac; apex b: z_ac <= z_ab + z_bc; apex c: z_ab <= z_ac + z_bc
     viol = np.column_stack([(bc - ab) - ac, (ac - ab) - bc, (ab - ac) - bc]) > tol
     t, apex = np.nonzero(viol)
@@ -883,15 +891,17 @@ def separate_triangles(problem: LpProblem, values: np.ndarray, tol: float) -> np
 
 
 class TupleLift:
-    """Maps a point of the LP that ``drop_zero_cost_tuples`` returned back
-    onto the LP it was given: every left-out x_K becomes max over the pairs
-    uv of K of z_uv, every other value is kept."""
+    """Maps a point of an LP built without its zero-cost tuple columns
+    (``drop_zero_cost_tuples``, ``build_lp3_core``) back onto the full
+    LP's ``columns``: every left-out x_K becomes max over the pairs uv of K
+    of z_uv, every other value is kept."""
 
     def __init__(self, columns: Columns, kept: np.ndarray, dropped: np.ndarray, zc: np.ndarray | None):
         self.columns = columns
         self.kept = kept  # full-LP columns of the reduced LP, in its order
         self.dropped = dropped  # full-LP columns left out
         self._groups = []  # (tuple columns, their pair columns) per tuple size
+        self._keys = []  # the left-out tuples per tuple size
         left = np.zeros(len(columns), dtype=bool)
         left[dropped] = True
         for (kind, k), (cols, tup) in sorted(columns.groups.items()):
@@ -899,6 +909,22 @@ class TupleLift:
                 cols, tup = cols[left[cols]], tup[left[cols]]
                 i, j = np.array(list(combinations(range(k), 2))).T
                 self._groups.append((cols, zc[tup[:, i], tup[:, j]]))
+                self._keys.append(tup)
+
+    def left_out_rows(self, values: np.ndarray) -> tuple[np.ndarray, Callable[[], list[str]]]:
+        """The left-out columns' own rows at ``values``, a point of
+        ``columns``, in the full LP's order, without building them: each
+        row's activity (every row is ``<= 0``) summed in the order of its
+        product, z_uv - x_K per pair uv of K, then ((k-1)·x_K - z_uv) - ...,
+        and a function listing the rows' names."""
+        gaps = [np.empty(0)]
+        for (cols, pair_cols), tup in zip(self._groups, self._keys):
+            x, z = values[cols], values[pair_cols]
+            total = (tup.shape[1] - 1) * x
+            for col in z.T:
+                total = total - col
+            gaps.append(np.column_stack([z - x[:, None], total]).ravel())
+        return np.concatenate(gaps), partial(_pair_row_names, self._keys)
 
     def __call__(self, solution: FractionalSolution) -> FractionalSolution:
         values = np.zeros(len(self.columns))
@@ -972,11 +998,16 @@ def build_lp3(
 
 
 def build_lp3_core(
-    mixed: MixedWeights, n: int, *, max_constraints: int | None = None
+    mixed: MixedWeights, n: int, *, max_constraints: int | None = None, drop_zero_cost: bool = False
 ) -> LpProblem:
     """``build_lp3`` without its triangle rows: the variables, objective and
     tuple-row families.  The census keeps the closed-form "triangle" count;
-    ``add_triangle_rows`` appends the rows a solve needs."""
+    ``add_triangle_rows`` appends the rows a solve needs.
+
+    With ``drop_zero_cost`` the tuple columns of objective coefficient 0
+    and their rows are never built: the LP is ``drop_zero_cost_tuples`` of
+    the core, column for column and row for row, and its ``lift`` is that
+    function's ``TupleLift``."""
     for layer in mixed:
         _check_weights_n(layer.weights, n)
     cap = LP2_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
@@ -987,45 +1018,35 @@ def build_lp3_core(
         raise SizeLimitError(
             f"LP3 would need {est} rows (cap {cap}); pass max_constraints to override"
         )
-    blocks: list[tuple[str, np.ndarray]] = []
-    base: dict[int, int] = {}  # layer k -> column of its first variable
+    tuples, costs, offset = {}, {}, 0.0  # per layer size, k = 2 for the pairs
     for layer in mixed:
-        if layer.k < 3:
-            continue
-        base[layer.k] = sum(len(keys) for _, keys in blocks)
-        blocks.append(("tuple", layer.weights.tuple_table().tuples))
-    zbase = sum(len(keys) for _, keys in blocks)
-    blocks.append(("pair", np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1)) + 1))  # u < v, lexicographic
-    columns = Columns(blocks)
-    obj = np.zeros(len(columns))
-    offset = 0.0
-    for layer in mixed:
-        # a k=2 layer's table lists the pairs in z-column order
-        wplus = layer.weights.tuple_table().wplus
-        lo = base.get(layer.k, zbase)
-        obj[lo : lo + len(wplus)] += layer.lam * (2.0 * wplus - 1.0)
-        offset += layer.lam * float((1.0 - wplus).sum())
+        table = layer.weights.tuple_table()  # a k=2 layer's table lists the pairs in z-column order
+        tuples[layer.k], costs[layer.k] = table.tuples, layer.lam * (2.0 * table.wplus - 1.0)
+        offset += layer.lam * float((1.0 - table.wplus).sum())
+    tuples[2] = np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1)) + 1  # u < v, lexicographic
+    costs.setdefault(2, np.zeros(len(tuples[2])))
+    sizes = sorted(tuples, key=lambda k: (k == 2, k))  # tuple columns layer by layer, then the pairs
+    keep = {k: (costs[k] != 0.0) | (k == 2 or not drop_zero_cost) for k in sizes}
+    columns = Columns([("pair" if k == 2 else "tuple", tuples[k][keep[k]]) for k in sizes])
+    obj = 0.0 + np.concatenate([costs[k][keep[k]] for k in sizes])  # 0.0 + c: a cost of -0.0 reads 0.0
     zc = _pair_column_matrix(columns)
-    groups, tables = [], []
-    census: dict[str, int] = {"pair_floor": 0, "pair_sum_cap": 0, "unit_cap": 0}
-    for layer in mixed:
-        if layer.k < 3:
-            continue
-        tuples = layer.weights.tuple_table().tuples
-        groups.append(_emit_pair_rows(tuples, base[layer.k], zc))
-        tables.append(tuples)
-        census["pair_floor"] += len(tuples) * math.comb(layer.k, 2)
-        census["pair_sum_cap"] += len(tuples)
-        census["unit_cap"] += len(tuples)
-    census["triangle"] = 3 * math.comb(n, 3)
-    if not any(l.k >= 3 for l in mixed):
-        census = {"triangle": census["triangle"]}
-    census["triangle_active"] = 0
-    rows, senses, rhs = _emit_rows(groups)
+    base = np.cumsum([0] + [len(keys) for _, keys in columns.blocks])
+    tables = [keys for _, keys in columns.blocks[:-1]]
+    rows, senses, rhs = _emit_rows([_emit_pair_rows(t, start, zc) for t, start in zip(tables, base.tolist()) if len(t)])
+    census: dict[str, int] = {
+        "pair_floor": sum(len(tuples[k]) * math.comb(k, 2) for k in sizes[:-1]),
+        "pair_sum_cap": sum(len(tuples[k]) for k in sizes[:-1]),
+        "unit_cap": sum(len(tuples[k]) for k in sizes[:-1]),
+    }
+    census = {**(census if len(sizes) > 1 else {}), "triangle": 3 * math.comb(n, 3), "triangle_active": 0}
     ks = "-".join(str(l.k) for l in mixed)
     names = partial(_pair_row_names, tables)
     core = LpProblem(f"lp3_n{n}_k{ks}", columns, obj, offset, rows, senses, rhs, names, census=census)
     core.pair_columns = zc  # built above from the same columns
+    if drop_zero_cost:
+        left = ~np.concatenate([keep[k] for k in sizes])
+        full = Columns([("pair" if k == 2 else "tuple", tuples[k]) for k in sizes])
+        core.lift = TupleLift(full, np.nonzero(~left)[0], np.nonzero(left)[0], np.where(zc >= 0, zc + left.sum(), -1))
     return core
 
 

@@ -206,11 +206,10 @@ class MotifWeights:
     def classify_tuples(self, tuples: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
         """The sorted classes of the rows of ``tuples`` and each row's index into
         them: one ``classify_rows`` pass for k <= 3, else a classifier call per tuple."""
-        if self.k <= 3:
-            tags = np.array([c.value for c in _CLASSES])[classify_rows(self.graph, tuples, directed=self.directed)]
-        else:
-            tags = [self.classify(t) for t in map(tuple, tuples.tolist())]
-        classes, idx = np.unique(tags, return_inverse=True)
+        if self.k <= 3:  # codes sort as their names do (``_CLASSES``)
+            codes, idx = np.unique(classify_rows(self.graph, tuples, directed=self.directed), return_inverse=True)
+            return tuple(_CLASSES[c].value for c in codes.tolist()), idx.astype(np.int64)
+        classes, idx = np.unique([self.classify(t) for t in map(tuple, tuples.tolist())], return_inverse=True)
         return tuple(classes.tolist()), idx.astype(np.int64)
 
     def tuple_table(self) -> TupleTable:

@@ -1,18 +1,19 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
-Every relaxation is built without one row family: LP1 without its
-Θ(n^{2k-1}) Upsilon rows, LP2 and LP3 without their 3·C(n,3) triangle
-rows (``omitted_rows`` names the family).  The solve stage solves that
-core LP on HiGHS, adds the rows of the family the optimum violates (the
-family's ``separate`` at the solver tolerance) and solves again, until no
-omitted row is violated; that optimum is then optimal for the full LP.
-One HiGHS instance serves all rounds: each later round passes it only the
-added rows, and HiGHS re-optimizes from its last basis.  For LP2/LP3 the
-solve also leaves out the tuple columns of objective coefficient exactly
-0 and their own rows (``drop_zero_cost_tuples``: the triangle rows imply
-them) and lifts those columns back from z at the end.  The check stage
-verifies the lifted point against the core LP, left-out tuple rows
-included, plus the active rows, and separates once more at the
+The weights stage builds every layer's tuple table.  Every relaxation is
+built without one row family: LP1 without its Θ(n^{2k-1}) Upsilon rows,
+LP2 and LP3 without their 3·C(n,3) triangle rows (``omitted_rows`` names
+the family).  LP2 and LP3 are also built without the tuple columns of
+objective coefficient exactly 0 and their own rows (the triangle rows
+imply them; ``drop_zero_cost_tuples``), and their ``lift`` brings those
+columns back from z at the end.  The solve stage solves that core LP on
+HiGHS, adds the rows of the family the optimum violates (the family's
+``separate`` at the solver tolerance) and solves again, until no omitted
+row is violated; that optimum is then optimal for the full LP.  One HiGHS
+instance serves all rounds: each later round passes it only the added
+rows, and HiGHS re-optimizes from its last basis.  The check stage
+verifies the lifted point against the last LP solved and, on arrays,
+against the left-out tuple rows, and separates once more at the
 certificate tolerance, so every row of the full LP is checked.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
@@ -57,7 +58,6 @@ from .lpmodel import (
     add_upsilon_rows,
     build_lp1_core,
     build_lp3_core,
-    drop_zero_cost_tuples,
     evaluate_objective,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.evaluate_objective
     first_rows,
     induced_point,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.induced_point
@@ -113,6 +113,11 @@ class RunConfig:
         check_seed(self.seed)
         check_tolerance("tol", self.tol)
         check_tolerance("certificate_tol", self.certificate_tol)
+        # the ratio divides by both, so a run without a usable one stops here
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if value is not None and not 0 < as_number(value, name) < np.inf:
+                raise InvalidParameterError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -252,12 +257,13 @@ def pick_relaxation(config: RunConfig, mixed: MixedWeights) -> str:
 
 def build_relaxation(relaxation: str, mixed: MixedWeights, n: int) -> LpProblem:
     """LP1 without Upsilon rows, LP2/LP3 without triangle rows
-    (``solve_relaxation`` adds those it needs)."""
+    (``solve_relaxation`` adds those it needs) and without their zero-cost
+    tuple columns (``build_lp3_core``'s ``drop_zero_cost``)."""
     if relaxation == "LP1":
         return build_lp1_core(mixed.layers[0].weights, n)
     if relaxation == "LP2":
-        return build_lp3_core(MixedWeights.single(mixed.layers[0].weights), n)
-    return build_lp3_core(mixed, n)
+        mixed = MixedWeights.single(mixed.layers[0].weights)
+    return build_lp3_core(mixed, n, drop_zero_cost=True)
 
 
 @dataclass(frozen=True)
@@ -285,30 +291,26 @@ def omitted_rows(problem: LpProblem) -> RowFamily:
 class RelaxationSolve:
     """What ``solve_relaxation`` hands to the check stage."""
 
-    problem: LpProblem  # the core given plus the active omitted rows
-    solution: FractionalSolution  # optimal point, lifted onto ``problem``
-    solved: LpProblem  # the last LP the solver saw
+    solution: FractionalSolution  # optimal point, lifted onto the full columns
+    solved: LpProblem  # the last LP the solver saw: the core given plus the active omitted rows
     rounds: list[SolverResult]
 
 
 def solve_relaxation(core: LpProblem, config: SolverConfig) -> RelaxationSolve:
-    """Solve ``core`` without its zero-cost tuple columns
-    (``drop_zero_cost_tuples``), add the rows of its omitted family
+    """Solve ``core``, add the rows of its omitted family
     (``omitted_rows``) that its optimum violates beyond ``config.tol`` and
     solve again, until a round adds no row.  The last optimum is optimal
-    for the full LP; it is lifted back onto ``core`` plus the active rows
-    (in the full build's order), which the check stage verifies, left-out
-    tuple rows included.
+    for the full LP; a core built without its zero-cost tuple columns
+    lifts it back onto the full columns (``core.lift``).
 
     Every round solves in one ``HighsModel``: the rows a round adds go
     after the rows already there, and HiGHS re-optimizes from the previous
     optimal basis.  A failed round raises SolverFailureError naming the
     round.
     """
-    reduced, lift = drop_zero_cost_tuples(core)
     family = omitted_rows(core)
     model = HighsModel()
-    problem = reduced
+    problem = core
     active = np.empty((0, 4), dtype=np.int64)
     rounds: list[SolverResult] = []
     while True:
@@ -325,8 +327,7 @@ def solve_relaxation(core: LpProblem, config: SolverConfig) -> RelaxationSolve:
         first = first_rows(both)
         added = both[np.sort(first[first >= len(active)])]
         if not len(added):
-            full = problem if reduced is core else family.add(core, active[first_rows(active)])
-            return RelaxationSolve(full, lift(result.solution), problem, rounds)
+            return RelaxationSolve(result.solution if core.lift is None else core.lift(result.solution), problem, rounds)
         active = np.concatenate([active, added])
         problem = family.add(problem, added)
 
@@ -348,10 +349,6 @@ def choose_params(config: RunConfig, mixed: MixedWeights, relaxation: str, n: in
         return rec
     alpha = rec.params.alpha if config.alpha is None else float(config.alpha)
     beta = rec.params.beta if config.beta is None else float(config.beta)
-    # the ratio divides by both, so check them before computing it
-    for name, value in (("alpha", config.alpha), ("beta", config.beta)):
-        if value is not None and not float(value) > 0:
-            raise InvalidParameterError(f"{name} must be positive, got {value}")
     if rec.algorithm == "alg1":
         ratio = 2.0 / alpha
         params = RoundingParams(alpha)
@@ -387,20 +384,23 @@ def run(config: RunConfig) -> Report:
     with stage("weights", timings):
         mixed = resolve_weights(config, graph)
         relaxation = pick_relaxation(config, mixed)
+        for layer in mixed:
+            layer.weights.tuple_table()
     with stage("build", timings):
         problem = build_relaxation(relaxation, mixed, n)
     solver_cfg = SolverConfig(tol=config.tol, max_iterations=config.max_iterations)
     with stage("solve", timings):
         relaxed = solve_relaxation(problem, solver_cfg)
-        problem, solution, rounds = relaxed.problem, relaxed.solution, relaxed.rounds
+        problem, solution, rounds = relaxed.solved, relaxed.solution, relaxed.rounds
     with stage("check", timings):
         # round only a point that satisfies every row and bound, including
         # the tuple, triangle and Upsilon rows the solve left out
-        check = verify_solution(problem, solution, tol=config.certificate_tol)
+        check = verify_solution(problem, solution, tol=config.certificate_tol, lift=problem.lift)
         if not check.ok:
             raise SolverFailureError(f"LP point infeasible: {check.summary()}, first {check.violations[0]}")
         family = omitted_rows(problem)
-        missed = family.separate(problem, solution.values, config.certificate_tol)
+        point = solution.values if problem.lift is None else solution.values[problem.lift.kept]
+        missed = family.separate(problem, point, config.certificate_tol)
         if len(missed):
             raise SolverFailureError(
                 f"LP point violates {len(missed)} omitted {family.label} rows "
@@ -461,8 +461,8 @@ def run(config: RunConfig) -> Report:
             "iterations": sum(r.iterations for r in rounds),
             "row_rounds": len(rounds),
             "round_iterations": [r.iterations for r in rounds],
-            "rows_in_lp": relaxed.solved.num_rows,
-            "vars_in_lp": relaxed.solved.num_vars,
+            "rows_in_lp": problem.num_rows,
+            "vars_in_lp": problem.num_vars,
         },
         timings={**timings, "solver_wall": sum(r.wall_time for r in rounds)},
     )

@@ -17,6 +17,8 @@ from motifcc.errors import InvalidParameterError
 from motifcc.lpmodel import add_triangle_rows, separate_triangles
 from motifcc.pipeline import RunConfig, build_relaxation, load_instance, resolve_weights, run
 
+from test_lp_rows import lp3_cases
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 CORE = "scipy.optimize._highspy._core"
 FIG2A = ["solve", "--generator", "fig2a", "--weights", "fig2"]
@@ -97,6 +99,30 @@ def karate_cc_core():
     cfg = RunConfig(generator="karate", weights="table1", method="CC")
     graph, _ = load_instance(cfg)
     return build_relaxation("LP3", resolve_weights(cfg, graph), graph.n)
+
+
+class TestPresolveOff:
+    def test_highs_reads_back_presolve_off(self):
+        model = simplex.HighsModel()
+        assert simplex.solve(karate_cc_core(), model=model).status == "optimal"
+        assert model.highs.getOptionValue("presolve")[1] == "off"
+
+    @pytest.mark.parametrize("case", ["karate-MMCC", "planted22-MMCC"])
+    def test_round_one_is_the_same_as_with_presolve_on(self, case, monkeypatch):
+        mixed, n = lp3_cases()[case]
+        problem = build_relaxation("LP3", mixed, n)
+        off = simplex.solve(problem)
+        real_load = simplex.HighsModel.load
+
+        def presolve_on(model, lp):
+            real_load(model, lp)
+            model.highs.setOptionValue("presolve", "on")
+
+        monkeypatch.setattr(simplex.HighsModel, "load", presolve_on)
+        on = simplex.solve(problem)
+        assert on.status == off.status == "optimal"
+        assert on.iterations == off.iterations > 0
+        assert on.solution.objective_value == off.solution.objective_value
 
 
 class TestHotStart:

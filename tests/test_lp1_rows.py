@@ -89,8 +89,8 @@ def test_separation_equals_the_full_rows_at_every_round(k, monkeypatch):
     # the last point is feasible for the full LP1, and each row held is
     # the full LP1's row of the same name
     assert len(violated_rows(full, relaxed.solution.values, 1e-7)) == 0
-    held = [int(name[3:]) for name in relaxed.problem.row_names]
-    assert (relaxed.problem.A != full.A[held]).nnz == 0
+    held = [int(name[3:]) for name in relaxed.solved.row_names]
+    assert (relaxed.solved.A != full.A[held]).nnz == 0
 
 
 def small_instance(tmp_path, seed: int, undirected: bool) -> RunConfig:

@@ -167,6 +167,19 @@ class TestChooseParams:
         assert rec.params.alpha == pytest.approx(0.25)
         assert rec.ratio == pytest.approx(16.0)
 
+    @pytest.mark.parametrize("flag,value", [("--alpha", "0"), ("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "-1")])
+    def test_a_bad_explicit_parameter_exits_2_before_the_solve(self, flag, value, monkeypatch, capsys):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the LP was solved")
+
+        monkeypatch.setattr(pipeline, "solve", no_solve)
+        assert main(["solve", "--generator", "fig2a", "--method", "CC", flag, value]) == EXIT_CONFIG
+        assert f"{flag[2:]} must be positive and finite, got {float(value)}" in capsys.readouterr().err
+        with pytest.raises(InvalidParameterError, match=flag[2:]):
+            RunConfig.from_dict({**FIG2A, flag[2:]: float(value)})
+        with pytest.raises(InvalidParameterError, match=f"{flag[2:]} must be a number"):
+            RunConfig.from_dict({**FIG2A, flag[2:]: "x"})
+
 
 class TestRun:
     def test_fig2a_lp2_full_pipeline(self):
@@ -373,7 +386,7 @@ def random_stack(data) -> tuple[MixedWeights, int]:
 
 
 def pipeline_solve(mixed: MixedWeights, n: int) -> pipeline.RelaxationSolve:
-    return pipeline.solve_relaxation(build_lp3_core(mixed, n), simplex.SolverConfig())
+    return pipeline.solve_relaxation(pipeline.build_relaxation("LP3", mixed, n), simplex.SolverConfig())
 
 
 class TestZeroCostTuples:
@@ -398,7 +411,7 @@ class TestZeroCostTuples:
         mixed = MixedWeights([build_table1_weights("CC", graph).layers[0], Layer(3, MotifWeights(3, graph, half), 1.0)])
         relaxed = pipeline_solve(mixed, 6)
         assert all(vid.kind == "pair" for vid in relaxed.solved.var_ids)
-        assert relaxed.solved.num_rows == relaxed.problem.census["triangle_active"]
+        assert relaxed.solved.num_rows == relaxed.solved.census["triangle_active"]
         full = build_lp3(mixed, 6)
         ref = simplex.solve(full)
         assert relaxed.solution.objective_value == pytest.approx(ref.solution.objective_value, abs=1e-7)
