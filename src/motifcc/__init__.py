@@ -39,8 +39,6 @@ from .motifs import (
     WeightRule,
     build_table1_weights,
     classify,
-    classify_pair,
-    classify_triple,
     directed_cycle_rule,
     weights_from_config,
     weights_to_config,
@@ -128,8 +126,6 @@ __all__ = [
     "canonical_tuple",
     "certify",
     "classify",
-    "classify_pair",
-    "classify_triple",
     "compare",
     "count_upsilon",
     "directed_cycle_rule",

@@ -100,26 +100,10 @@ def _add_weight_args(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        input=args.input,
-        generator=args.generator,
-        generator_args=dict(args.generator_arg),
-        undirected=args.undirected,
-        zero_based=args.zero_based,
-        num_vertices=args.num_vertices,
-        weights=args.weights,
-        method=args.method,
-        relaxation=getattr(args, "relaxation", "auto"),
-        alpha=getattr(args, "alpha", None),
-        beta=getattr(args, "beta", None),
-        pivot_rule=getattr(args, "pivot_rule", "lowest"),
-        leftover=getattr(args, "leftover", "together"),
-        seed=args.seed,
-        tol=getattr(args, "tol", 1e-7),
-        max_iterations=getattr(args, "max_iterations", 200_000),
-        out=getattr(args, "out", None),
-        trace=getattr(args, "trace", None),
-    )
+    """The run config of the ``RunConfig`` fields the command has; the
+    others keep ``RunConfig``'s defaults."""
+    given = {name: value for name, value in vars(args).items() if name in RunConfig.__dataclass_fields__}
+    return RunConfig(**given, generator_args=dict(args.generator_arg))
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -135,9 +119,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     if args.lp_dump:
-        problem = LpProblem.from_text(args.lp_dump)
         cfg = SolverConfig(tol=args.tol, max_iterations=args.max_iterations)
-        result = solve(problem, cfg)
+        result = solve(LpProblem.from_text(args.lp_dump), cfg)
         payload = {
             "status": result.status,
             "objective": result.solution.objective_value if result.solution else None,

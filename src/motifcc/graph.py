@@ -3,10 +3,13 @@
 Vertex labels are 1-based integers in [1..n].  A k-tuple is represented as a
 plain ``tuple[int, ...]`` in strictly ascending order (the canonical form);
 ``canonical_tuple`` produces it and every map in the toolkit is keyed on it.
+``open_text`` opens what the toolkit reads or writes as text: a path or a
+handle the caller already opened.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -127,6 +130,18 @@ def load_edge_list(
     if n is None:
         n = max((max(u, v) for u, v in arcs), default=0)
     return DirectedGraph.from_arcs(n, arcs)
+
+
+def open_text(file, mode: str = "r"):
+    """``file`` as a context manager over a UTF-8 text handle: an open
+    handle (anything with ``read`` or ``write``) itself, left open on exit,
+    or the file at a str, bytes or os.PathLike path, opened in ``mode`` and
+    closed on exit.  Anything else raises InvalidParameterError."""
+    if hasattr(file, "read") or hasattr(file, "write"):
+        return nullcontext(file)
+    if isinstance(file, (str, bytes)) or hasattr(file, "__fspath__"):
+        return open(file, mode, encoding="utf-8")
+    raise InvalidParameterError(f"expected a path or an open file, got {file!r}")
 
 
 def write_edge_list(graph: DirectedGraph, path, header: str | None = None) -> None:

@@ -39,9 +39,12 @@ sparse module: ``LpProblem.row_activity`` sums each row in index order as
 scipy's CSR product does, and ``LpProblem.A``, the scipy matrix the tests
 and the benchmark's tracer read, is built on first read.
 
-The columns are arrays too: a built LP names them by blocks, an (m, k)
-array of k-tuples per layer and the (p, 2) array of pairs (``Columns``),
-so a solve makes no ``VarId``; dumps, solution JSON and tests read them.
+The columns are arrays too, and only arrays: ``Columns`` holds blocks of
+keys, an (m, k) array of k-tuples per layer and the (p, 2) array of
+pairs, so a solve makes no ``VarId``.  Columns given as VarIds (a dump, a
+solution file, an LP built by hand) become one block per run of one kind
+and key length, names other than x_.../z_... an (m, 1) "named" block;
+VarIds are made from the blocks only for dumps, solution JSON and tests.
 The LP2/LP3 set-up is O(rows) numpy work, with one pair-column map and
 one C(n,3) triple list per fresh column list, which the LPs
 ``LpProblem.derive`` makes from it (every round) reuse.
@@ -58,7 +61,6 @@ census total matches the closed-form constraint counts.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import math
 from dataclasses import dataclass
@@ -68,8 +70,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import InvalidParameterError, SizeLimitError, as_number
-from .graph import KTuple, Partition, canonical_tuple
+from .errors import InvalidParameterError, InvalidVertexError, SizeLimitError, as_number
+from .graph import KTuple, Partition, canonical_tuple, open_text
 from .motifs import MixedWeights, MotifWeights
 from . import kernels
 
@@ -117,22 +119,28 @@ class VarId:
 
 class Columns:
     """An LP's column identities in column order, as blocks of keys: an
-    (m, k) int array of k-tuples (kind "tuple", one x_K per row) or the
-    (p, 2) array of vertex pairs (kind "pair", one z_uv per row).  Columns
-    given as VarIds (a dump, an LP built by hand) are kept as that list.
-    Indexing and iterating give VarIds, made from blocks on first read;
-    ``groups`` gives the keys as arrays without them."""
+    (m, k) int array of k-tuples (kind "tuple", one x_K per row), an
+    (m, 2) array of vertex pairs (kind "pair", one z_uv per row) or an
+    (m, 1) object array of other names (kind "named").  Indexing and
+    iterating give VarIds, made from the blocks on first read; ``groups``
+    gives the keys as arrays without them."""
 
-    def __init__(self, blocks: list[tuple[str, np.ndarray]] | None, var_ids: list[VarId] | None = None):
+    def __init__(self, blocks: list[tuple[str, np.ndarray]]):
         self.blocks = blocks
-        if blocks is None:
-            self.var_ids = list(var_ids)
-        self._len = len(self.var_ids) if blocks is None else sum(len(keys) for _, keys in blocks)
+        self._len = sum(len(keys) for _, keys in blocks)
 
     @classmethod
     def of(cls, columns) -> "Columns":
-        """``columns`` itself, or the Columns of a VarId sequence."""
-        return columns if isinstance(columns, Columns) else cls(None, columns)
+        """``columns`` itself, or the Columns of a VarId sequence: one block
+        per run of VarIds of one kind and key length."""
+        if isinstance(columns, Columns):
+            return columns
+        runs: list = []
+        for vid in columns:
+            if not runs or runs[-1][0] != (vid.kind, len(vid.key)):
+                runs.append(((vid.kind, len(vid.key)), []))
+            runs[-1][1].append(vid.key)
+        return cls([(kind, np.array(keys, dtype=object if kind == "named" else np.int64)) for (kind, _), keys in runs])
 
     @cached_property
     def var_ids(self) -> list[VarId]:
@@ -153,14 +161,9 @@ class Columns:
 
     @cached_property
     def groups(self) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
-        """Per (kind, key length), tuples and pairs only: the columns of
-        that kind in increasing order, and their keys as rows."""
+        """Per (kind, key length): the columns of that kind in increasing
+        order, and their keys as rows."""
         found: dict = {}
-        if self.blocks is None:
-            for j, vid in enumerate(self.var_ids):
-                if vid.kind != "named":
-                    found.setdefault((vid.kind, len(vid.key)), []).append((j, vid.key))
-            return {g: tuple(np.array(a, dtype=np.int64) for a in zip(*entries)) for g, entries in found.items()}
         start = 0
         for kind, keys in self.blocks:
             found.setdefault((kind, keys.shape[1]), []).append((np.arange(start, start + len(keys)), keys))
@@ -169,17 +172,12 @@ class Columns:
 
     def check_distinct(self) -> None:
         """Raise InvalidParameterError if two columns have one identity."""
-        if self.blocks is None:
-            distinct = len(set(self.var_ids)) == len(self)
-        else:
-            distinct = all(len(first_rows(keys)) == len(keys) for _, keys in self.groups.values())
-        if not distinct:
-            raise InvalidParameterError("duplicate variable ids")
+        for (kind, _), (_, keys) in self.groups.items():
+            if (len(set(keys[:, 0].tolist())) if kind == "named" else len(first_rows(keys))) != len(keys):
+                raise InvalidParameterError("duplicate variable ids")
 
     def take(self, keep: np.ndarray) -> "Columns":
         """The columns at the increasing indices ``keep``."""
-        if self.blocks is None:
-            return Columns(None, [self.var_ids[j] for j in keep.tolist()])
         blocks, start = [], 0
         for kind, keys in self.blocks:
             blocks.append((kind, keys[keep[(keep >= start) & (keep < start + len(keys))] - start]))
@@ -395,9 +393,10 @@ class LpProblem:
 
     # ------------------------------------------------------------ text dump
 
-    def to_text(self, fh) -> None:
-        """Plain-text dump: objective, one constraint per line, bounds."""
-        with _text_file(fh, "w") as fh:
+    def to_text(self, file) -> None:
+        """Plain-text dump to ``file``, a path or an open handle: objective,
+        one constraint per line, bounds."""
+        with open_text(file, "w") as fh:
             fh.write(f"# lp {self.name}\n")
             fh.write("minimize\n")
             terms = " ".join(
@@ -414,10 +413,10 @@ class LpProblem:
             fh.write("end\n")
 
     @classmethod
-    def from_text(cls, fh, name: str = "dump") -> "LpProblem":
+    def from_text(cls, file, name: str = "dump") -> "LpProblem":
         """Inverse of ``to_text``.  A malformed line raises
         InvalidParameterError naming its line number."""
-        with _text_file(fh, "r") as fh:
+        with open_text(file) as fh:
             lines = list(fh)
         parsed: dict[str, list] = {"minimize": [], "subject to": [], "bounds": []}
         section = None
@@ -469,13 +468,6 @@ class LpProblem:
         rhs = np.array([b for _, _, _, b in rows], dtype=float)
         row_names = [rname for rname, _, _, _ in rows]
         return cls(name, var_ids, obj, offset, csr, senses, rhs, row_names, lb=lb, ub=ub)
-
-
-def _text_file(fh, mode: str):
-    """``fh`` itself, or the file at path ``fh`` opened in ``mode``."""
-    if isinstance(fh, (str, bytes)):
-        return open(fh, mode, encoding="utf-8")
-    return contextlib.nullcontext(fh)
 
 
 def _dump_terms(tokens: list[str]) -> list[tuple[str, float]]:
@@ -618,21 +610,16 @@ def _check_weights_n(weights: MotifWeights, n: int) -> None:
         )
 
 
-def build_lp1_core(
-    weights: MotifWeights, n: int, *, max_constraints: int | None = None
-) -> LpProblem:
+def build_lp1_core(weights: MotifWeights, n: int) -> LpProblem:
     """``build_lp1`` without its Upsilon rows: the tuple columns and the
     objective.  The census keeps the closed-form "upsilon" count;
-    ``add_upsilon_rows`` appends the rows a solve needs.  The cap on that
-    count is ``build_lp1``'s."""
+    ``add_upsilon_rows`` appends the rows a solve needs.  That count is
+    capped at ``LP1_DEFAULT_CONSTRAINT_CAP``."""
     _check_weights_n(weights, n)
     k = weights.k
-    cap = LP1_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
     est = count_upsilon(n, k)
-    if est > cap:
-        raise SizeLimitError(
-            f"LP1 would need {est} constraints (cap {cap}); pass max_constraints to override"
-        )
+    if est > LP1_DEFAULT_CONSTRAINT_CAP:
+        raise SizeLimitError(f"LP1 would need {est} constraints (cap {LP1_DEFAULT_CONSTRAINT_CAP})")
     table = weights.tuple_table()
     return LpProblem(
         f"lp1_n{n}_k{k}", Columns([("tuple", table.tuples)]), 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
@@ -642,12 +629,10 @@ def build_lp1_core(
     )
 
 
-def build_lp1(
-    weights: MotifWeights, n: int, *, max_constraints: int | None = None
-) -> LpProblem:
+def build_lp1(weights: MotifWeights, n: int) -> LpProblem:
     """LP over tuple variables only, with the Upsilon family
-    x_{K3} <= x_{K1} + x_{K2}.  Grows Θ(n^{2k-1}); capped by default."""
-    core = build_lp1_core(weights, n, max_constraints=max_constraints)
+    x_{K3} <= x_{K1} + x_{K2}.  Grows Θ(n^{2k-1}); capped (``build_lp1_core``)."""
+    core = build_lp1_core(weights, n)
     cols = np.concatenate([block for _, block in _upsilon_rows(n, weights.k)])
     rows, senses, rhs = _emit_rows([(cols, (1.0, -1.0, -1.0), (3,))])
     m = len(cols)  # the row-name function keeps the count, not the rows
@@ -980,26 +965,20 @@ def drop_zero_cost_tuples(core: LpProblem) -> tuple[LpProblem, TupleLift]:
     return reduced, lift
 
 
-def build_lp2(
-    weights: MotifWeights, n: int, *, max_constraints: int | None = None
-) -> LpProblem:
+def build_lp2(weights: MotifWeights, n: int) -> LpProblem:
     """Tuple variables tied to a pair pseudometric z: the LP3 of the single
     layer ``weights``.  Polynomial row count Θ(C(n,k)·C(k,2) + C(n,3))."""
-    return build_lp3(MixedWeights.single(weights), n, max_constraints=max_constraints)
+    return build_lp3(MixedWeights.single(weights), n)
 
 
-def build_lp3(
-    mixed: MixedWeights, n: int, *, max_constraints: int | None = None
-) -> LpProblem:
+def build_lp3(mixed: MixedWeights, n: int) -> LpProblem:
     """Multi-layer LP: per-layer tuple variables (k >= 3) over one shared
     pair metric; a k=2 layer contributes objective terms on z directly.
     Every one of the 3·C(n,3) triangle rows is materialized."""
-    return add_triangle_rows(build_lp3_core(mixed, n, max_constraints=max_constraints), all_triangles(n))
+    return add_triangle_rows(build_lp3_core(mixed, n), all_triangles(n))
 
 
-def build_lp3_core(
-    mixed: MixedWeights, n: int, *, max_constraints: int | None = None, drop_zero_cost: bool = False
-) -> LpProblem:
+def build_lp3_core(mixed: MixedWeights, n: int, *, drop_zero_cost: bool = False) -> LpProblem:
     """``build_lp3`` without its triangle rows: the variables, objective and
     tuple-row families.  The census keeps the closed-form "triangle" count;
     ``add_triangle_rows`` appends the rows a solve needs.
@@ -1007,17 +986,15 @@ def build_lp3_core(
     With ``drop_zero_cost`` the tuple columns of objective coefficient 0
     and their rows are never built: the LP is ``drop_zero_cost_tuples`` of
     the core, column for column and row for row, and its ``lift`` is that
-    function's ``TupleLift``."""
+    function's ``TupleLift``.  The full LP's row count is capped at
+    ``LP2_DEFAULT_CONSTRAINT_CAP``."""
     for layer in mixed:
         _check_weights_n(layer.weights, n)
-    cap = LP2_DEFAULT_CONSTRAINT_CAP if max_constraints is None else max_constraints
     est = 3 * math.comb(n, 3) + sum(
         math.comb(n, l.k) * (math.comb(l.k, 2) + 1) for l in mixed if l.k >= 3
     )
-    if est > cap:
-        raise SizeLimitError(
-            f"LP3 would need {est} rows (cap {cap}); pass max_constraints to override"
-        )
+    if est > LP2_DEFAULT_CONSTRAINT_CAP:
+        raise SizeLimitError(f"LP3 would need {est} rows (cap {LP2_DEFAULT_CONSTRAINT_CAP})")
     tuples, costs, offset = {}, {}, 0.0  # per layer size, k = 2 for the pairs
     for layer in mixed:
         table = layer.weights.tuple_table()  # a k=2 layer's table lists the pairs in z-column order
@@ -1056,11 +1033,14 @@ def build_lp3_core(
 def induced_point(partition: Partition, problem: LpProblem) -> FractionalSolution:
     """The integral feasible point of a partition: x_K = [K split],
     z_uv = [u, v in different clusters]."""
+    labels = np.array([0, *partition.labels_array()], dtype=np.int64)
     values = np.empty(problem.num_vars)
-    for j, vid in enumerate(problem.var_ids):
-        if vid.kind == "named":
-            raise InvalidParameterError(f"cannot induce a value for free variable {vid.name}")
-        values[j] = 1.0 if partition.is_split(vid.key) else 0.0
+    for (kind, _), (cols, keys) in problem.columns.groups.items():
+        if kind == "named":
+            raise InvalidParameterError(f"cannot induce a value for free variable {keys[0, 0]}")
+        if ((keys < 1) | (keys > partition.n)).any():
+            raise InvalidVertexError(f"column key outside [1..{partition.n}]")
+        values[cols] = kernels.split_mask(keys, labels)
     objective = float(problem.obj @ values) + problem.offset
     return FractionalSolution(problem.columns, values, objective, "feasible")
 

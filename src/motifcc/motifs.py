@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidVertexError, UnsupportedMotifSizeError, as_number
-from .graph import DirectedGraph, KTuple, canonical_tuple, enumerate_ktuples
+from .graph import DirectedGraph, KTuple, canonical_tuple, enumerate_ktuples, open_text
 
 
 class MotifClass(str, Enum):
@@ -78,19 +78,6 @@ def classify_rows(graph: DirectedGraph, tuples, *, directed: bool | None = None)
     return np.select([m for m, _ in picks], [code(cls) for _, cls in picks], code(MotifClass.OTHER_TRIPLE))
 
 
-def classify_pair(graph: DirectedGraph, pair: Iterable[int]) -> MotifClass:
-    u, v = canonical_tuple(pair)
-    return _CLASSES[classify_rows(graph, [(u, v)])[0]]
-
-
-def classify_triple(graph: DirectedGraph, tup: Iterable[int], *, directed: bool | None = None) -> MotifClass:
-    """Classify a 3-tuple (the classes are in ``classify_rows``)."""
-    t = canonical_tuple(tup)
-    if len(t) != 3:
-        raise UnsupportedMotifSizeError(f"classify_triple needs k=3, got {len(t)}")
-    return _CLASSES[classify_rows(graph, [t], directed=directed)[0]]
-
-
 def classify(
     graph: DirectedGraph,
     tup: Iterable[int],
@@ -98,10 +85,12 @@ def classify(
     directed: bool | None = None,
     classifier: Callable[[DirectedGraph, KTuple], str] | None = None,
 ) -> str:
-    """Total classification for k in {2, 3}; larger k needs ``classifier``."""
+    """The class of one tuple: for k in {2, 3} its ``MotifClass`` member (a
+    str equal to its value; the rules are ``classify_rows``'s), for larger k
+    the string ``classifier`` returns."""
     t = canonical_tuple(tup)
     if len(t) <= 3:
-        return _CLASSES[classify_rows(graph, [t], directed=directed)[0]].value
+        return _CLASSES[classify_rows(graph, [t], directed=directed)[0]]
     if classifier is None:
         raise UnsupportedMotifSizeError(f"no built-in classes for k={len(t)}; supply a classifier")
     return str(classifier(graph, t))
@@ -378,9 +367,9 @@ def _layer_from_config(cfg: dict, graph: DirectedGraph) -> Layer:
 
 def weights_from_config(cfg, graph: DirectedGraph) -> MixedWeights:
     """Build MixedWeights from a JSON-style dict, list of layer dicts, or a
-    path to a JSON file holding either."""
-    if isinstance(cfg, (str, bytes)) or hasattr(cfg, "read"):
-        with open(cfg, encoding="utf-8") as fh:
+    JSON file holding either (a path or an open handle, ``open_text``)."""
+    if not isinstance(cfg, (dict, list)):
+        with open_text(cfg) as fh:
             cfg = json.load(fh)
     if isinstance(cfg, dict) and "layers" in cfg:
         cfg = cfg["layers"]

@@ -111,7 +111,7 @@ class RunConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        check_tolerance("tol", self.tol)
+        SolverConfig(tol=self.tol, max_iterations=self.max_iterations)
         check_tolerance("certificate_tol", self.certificate_tol)
         # the ratio divides by both, so a run without a usable one stops here
         for name in ("alpha", "beta"):

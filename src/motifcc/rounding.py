@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     InvalidVertexError,
 )
-from .graph import Partition
+from .graph import Partition, open_text
 from .lpmodel import FractionalSolution, evaluate_objective
 from .motifs import MixedWeights
 
@@ -83,16 +83,11 @@ class RoundingTrace:
             )
         return lines
 
-    def write_jsonl(self, fh) -> None:
-        close = isinstance(fh, (str, bytes))
-        if close:
-            fh = open(fh, "w", encoding="utf-8")
-        try:
+    def write_jsonl(self, file) -> None:
+        """One JSON line per step to ``file``, a path or an open handle."""
+        with open_text(file, "w") as fh:
             for line in self.to_json_lines():
                 fh.write(line + "\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def _tuple_arrays(x, k: int) -> tuple[np.ndarray, np.ndarray, int]:

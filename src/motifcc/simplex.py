@@ -36,19 +36,28 @@ from .lpmodel import FractionalSolution, LpProblem
 
 @dataclass
 class SolverConfig:
-    """How ``solve`` runs.  ``engine`` names the solver, and "scipy"
-    (scipy's bundled HiGHS) is the only one; the field stays while the
-    benchmark's traced gate (perfbench/run.py) passes it (ROADMAP item 1)."""
+    """How ``solve`` runs, checked when made, before any LP is built or
+    loaded.  ``tol`` must be finite and at least 1e-10, the smallest
+    feasibility tolerance HiGHS accepts.  ``engine`` names the solver, and
+    "scipy" (scipy's bundled HiGHS) is the only one; the field stays while
+    the benchmark's traced gate (perfbench/run.py) passes it (ROADMAP item 1)."""
 
     tol: float = 1e-7  # primal feasibility and dual optimality tolerance
     max_iterations: int = 200_000
     engine: str = "scipy"
 
     def __post_init__(self):
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise InvalidParameterError(f"tolerance must be positive and finite, got {self.tol}")
-        if self.max_iterations < 1:
-            raise InvalidParameterError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        try:
+            ok = math.isfinite(self.tol) and self.tol >= 1e-10
+        except TypeError:
+            ok = False
+        if not ok:
+            raise InvalidParameterError(
+                f"tol must be finite and at least 1e-10, the smallest HiGHS accepts, "
+                f"got {self.tol!r} (primal_feasibility_tolerance={self.tol!r})"
+            )
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 1):
+            raise InvalidParameterError(f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}")
         if self.engine != "scipy":
             raise InvalidParameterError(f"unknown engine {self.engine!r}; the solver is HiGHS, engine 'scipy'")
 
@@ -262,7 +271,7 @@ def _solve_highs(problem: LpProblem, config: SolverConfig, model: HighsModel, t0
         ("dual_feasibility_tolerance", config.tol),
         ("simplex_iteration_limit", min(config.max_iterations, 2**31 - 1)),
     ):
-        if h.setOptionValue(name, value) == core.HighsStatus.kError:  # say, a tolerance below 1e-10
+        if h.setOptionValue(name, value) == core.HighsStatus.kError:  # a SolverConfig changed after its check
             raise InvalidParameterError(f"HiGHS rejected option {name}={value!r}")
     model.load(problem)
     if h.run() == core.HighsStatus.kError:

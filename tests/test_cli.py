@@ -315,6 +315,29 @@ class TestBadValuesExit2:
         assert main(argv) == EXIT_CONFIG
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [
+            ("--tol", "0", "got 0.0"),
+            ("--tol", "1e-12", "primal_feasibility_tolerance=1e-12"),
+            ("--tol", "nan", "got nan"),
+            ("--max-iterations", "0", "got 0"),
+        ],
+    )
+    def test_a_bad_solver_option_exits_2_before_an_lp_is_built_or_read(
+        self, flag, value, named, tmp_path, monkeypatch, capsys
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("an LP was built")
+
+        monkeypatch.setattr(pipeline, "build_relaxation", no_build)
+        assert main(["solve", *FIG2A_CC, flag, value]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        # the dump is never opened: its absence would name the file instead
+        assert main(["solve", "--lp-dump", str(tmp_path / "absent.lp"), flag, value]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert named in err and "absent.lp" not in err
+
     @pytest.mark.parametrize("flag", [["--engine", "scipy"], ["--no-warm-start"]])
     def test_removed_solver_flags_exit_2(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

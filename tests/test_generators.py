@@ -25,13 +25,13 @@ from motifcc.generators import (
     make_layered_flow,
 )
 from motifcc.graph import canonical_tuple, load_edge_list
-from motifcc.motifs import MotifClass, classify_triple
+from motifcc.motifs import MotifClass, classify
 
 
 def undirected_triangles(graph):
     out = set()
     for t in itertools.combinations(range(1, graph.n + 1), 3):
-        if classify_triple(graph, t, directed=False) is MotifClass.TRIANGLE:
+        if classify(graph, t, directed=False) is MotifClass.TRIANGLE:
             out.add(t)
     return out
 
@@ -39,7 +39,7 @@ def undirected_triangles(graph):
 def clean_directed_cycles(graph):
     out = set()
     for t in itertools.combinations(range(1, graph.n + 1), 3):
-        if classify_triple(graph, t, directed=True) is MotifClass.DIRECTED_THREE_CYCLE:
+        if classify(graph, t, directed=True) is MotifClass.DIRECTED_THREE_CYCLE:
             out.add(t)
     return out
 
@@ -95,7 +95,7 @@ class TestAnomaly:
         cycles = {
             t
             for t in itertools.combinations(sorted(block), 3)
-            if classify_triple(g, t, directed=True) is MotifClass.DIRECTED_THREE_CYCLE
+            if classify(g, t, directed=True) is MotifClass.DIRECTED_THREE_CYCLE
         }
         assert len(cycles) == 8
         for u, v in itertools.combinations(sorted(block), 2):

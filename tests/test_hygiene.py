@@ -1,7 +1,8 @@
-"""Source hygiene: no unused imports in the package, no run of a command
-imports ``scipy.sparse`` or ``scipy.optimize`` or makes a ``VarId``, every
-CLI command in the README's quick start still parses, and the README's
-weight-spec and Python API examples run."""
+"""Source hygiene: no unused imports and no function or class that nothing
+names in the package, no run of a command imports ``scipy.sparse`` or
+``scipy.optimize`` or makes a ``VarId``, every CLI command in the README's
+quick start still parses, and the README's weight-spec and Python API
+examples run."""
 
 import ast
 import contextlib
@@ -12,6 +13,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,6 +75,42 @@ def test_the_check_sees_an_unused_import(tmp_path):
         "def f(x: 'Iterable[int]') -> None:\n    return None\n"
     )
     assert unused_imports(module) == ["1: os", "3: List"]
+
+
+def dead_definitions(modules: list[Path], corpus: list[Path]) -> tuple[list[str], int]:
+    """``file:line: name`` of each function or class that ``modules``
+    define (dunders aside) and no file of ``corpus`` names other than where
+    it is defined, and the number of names checked."""
+    words = Counter(w for path in corpus for w in re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    defined = [
+        (path, node)
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    definitions = Counter(node.name for _, node in defined)
+    dead = [f"{path.name}:{node.lineno}: {node.name}" for path, node in defined if words[node.name] <= definitions[node.name]]
+    return dead, len(definitions)
+
+
+def test_every_definition_is_named_elsewhere():
+    corpus = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+              ROOT / "README.md"]
+    dead, checked = dead_definitions(MODULES, corpus)
+    assert dead == []
+    assert checked > 200
+
+
+def test_the_check_sees_a_dead_definition(tmp_path):
+    module, caller = tmp_path / "m.py", tmp_path / "caller.py"
+    module.write_text(
+        "class Used:\n    def method(self):\n        return orphan_twin()\n    def __len__(self):\n        return 0\n"
+        "def orphan():\n    pass\n"
+        "def orphan_twin():\n    pass\n"
+    )
+    caller.write_text("from m import Used\nUsed().method()\n")
+    assert dead_definitions([module], [module, caller]) == (["m.py:6: orphan"], 4)
 
 
 # Runs one command of each kind in this interpreter, then prints the exit

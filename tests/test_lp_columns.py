@@ -1,6 +1,7 @@
-"""LP columns as arrays (``lpmodel.Columns``): what a built LP derives from
-its tuple and pair blocks equals what the same LP built from a ``VarId``
-list gives, dumps keep their bytes, and duplicate columns are refused."""
+"""LP columns as arrays (``lpmodel.Columns``): a ``VarId`` list becomes the
+blocks ``build_lp3_core`` makes, what a built LP derives from its blocks equals
+what the same LP built from that list gives, dumps keep their bytes, and
+duplicate columns are refused."""
 
 import hashlib
 import io
@@ -12,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motifcc import lpmodel, pipeline
-from motifcc.errors import InvalidParameterError
+from motifcc.errors import InvalidParameterError, InvalidVertexError
 from motifcc.generators import fig2_weights, karate, make_fixture
-from motifcc.graph import DirectedGraph
+from motifcc.graph import DirectedGraph, Partition
 from motifcc.lpmodel import (
     Columns,
     FractionalSolution,
@@ -27,6 +28,7 @@ from motifcc.lpmodel import (
     build_lp3_core,
     drop_zero_cost_tuples,
     first_rows,
+    induced_point,
 )
 from motifcc.motifs import Layer, MixedWeights, MotifWeights, WeightRule, build_table1_weights
 from motifcc.rounding import _pair_matrix, _tuple_arrays
@@ -43,7 +45,9 @@ def list_built(problem: LpProblem) -> LpProblem:
         var_ids += [VarId(kind, tuple(map(int, key))) for key in keys]
     lp = LpProblem(problem.name, var_ids, problem.obj, problem.offset, (problem.data, problem.indices, problem.indptr),
                    problem.senses, problem.rhs, problem._row_names, census=problem.census)
-    assert lp.columns.blocks is None
+    assert [(kind, keys.dtype, keys.tolist()) for kind, keys in lp.columns.blocks] == [
+        (kind, np.dtype(np.int64), keys.tolist()) for kind, keys in problem.columns.blocks if len(keys)
+    ]
     return lp
 
 
@@ -178,6 +182,15 @@ class TestDuplicateColumns:
         with pytest.raises(InvalidParameterError, match="duplicate variable ids"):
             self.lp([VarId.tuple_var((1, 2, 3)), VarId("named", ("a",)), VarId.tuple_var((3, 2, 1))], 3)
 
+    def test_a_repeated_name_in_a_named_block_is_refused(self):
+        self.lp([VarId("named", ("a",)), VarId("named", ("b",)), VarId.tuple_var((1, 2, 3))], 3)
+        with pytest.raises(InvalidParameterError, match="duplicate variable ids"):
+            self.lp([VarId("named", ("a",)), VarId("named", ("b",)), VarId("named", ("a",))], 3)
+        with pytest.raises(InvalidParameterError, match="duplicate variable ids"):  # in two runs
+            self.lp([VarId("named", ("a",)), VarId.tuple_var((1, 2, 3)), VarId("named", ("a",))], 3)
+        with pytest.raises(InvalidParameterError, match="duplicate variable ids"):
+            self.lp(Columns([("named", np.array([["a"], ["b"], ["a"]], dtype=object))]), 3)
+
     def test_blocks_with_a_repeated_key_are_refused(self):
         pairs = np.array([[1, 2], [1, 3], [2, 3]])
         triples = np.array([[1, 2, 3], [1, 2, 4]])
@@ -186,6 +199,65 @@ class TestDuplicateColumns:
             self.lp(Columns([("pair", pairs), ("pair", pairs[1:2])]), 4)
         with pytest.raises(InvalidParameterError, match="duplicate variable ids"):
             self.lp(Columns([("tuple", triples), ("tuple", triples[::-1])]), 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=random_mixed(), drop=st.booleans(), seed=st.integers(0, 2**16))
+def test_columns_of_a_var_id_list_equal_the_built_blocks(case, drop, seed):
+    mixed, n = case
+    built = build_lp3_core(mixed, n, drop_zero_cost=drop).columns
+    listed = Columns.of([VarId(vid.kind, vid.key) for vid in built])
+    assert len(listed) == len(built)
+
+    # build_lp3_core keeps the block of a layer whose every tuple it left out, and take keeps empty blocks
+    def blocks(columns: Columns) -> list:
+        return [(kind, keys.dtype, keys.tolist()) for kind, keys in columns.blocks if len(keys)]
+
+    def groups(columns: Columns) -> dict:
+        return {g: (cols.tolist(), keys.tolist()) for g, (cols, keys) in columns.groups.items() if len(cols)}
+
+    assert all(len(keys) for _, keys in listed.blocks)  # no run of VarIds is empty
+    assert blocks(listed) == blocks(built) and groups(listed) == groups(built)
+    keep = np.sort(np.random.default_rng(seed).choice(len(built), size=len(built) // 2, replace=False))
+    assert blocks(listed.take(keep)) == blocks(built.take(keep))
+    assert groups(listed.take(keep)) == groups(built.take(keep))
+    assert listed.take(keep).var_ids == built.take(keep).var_ids == [built[j] for j in keep.tolist()]
+
+
+def test_a_dump_with_named_and_tuple_columns_round_trips():
+    var_ids = [VarId.tuple_var((1, 2, 3)), VarId("named", ("slack",)), VarId("named", ("x_a",)),
+               VarId.tuple_var((1, 2, 4)), VarId.pair_var(1, 2), VarId("named", ("y_2",))]
+    rows = (np.array([1.0, -1.0, 2.0, 1.0, -1.0, 0.5]), np.array([0, 1, 2, 3, 4, 5]), np.array([0, 2, 6]))
+    lp = LpProblem("mixed", var_ids, [1.0, 0.0, -0.5, 2.0, 0.0, 0.25], 1.5, rows, [-1, 1], [0.0, 1.0], ["r0", "r1"],
+                   lb=[0.0, -1.0, 0.0, 0.0, 0.0, 0.0], ub=[1.0, 2.0, 1.0, 1.0, 1.0, 3.0])
+    assert [(kind, keys.tolist()) for kind, keys in lp.columns.blocks] == [
+        ("tuple", [[1, 2, 3]]), ("named", [["slack"], ["x_a"]]), ("tuple", [[1, 2, 4]]), ("pair", [[1, 2]]),
+        ("named", [["y_2"]]),
+    ]
+    assert {g: cols.tolist() for g, (cols, _) in lp.columns.groups.items()} == {
+        ("tuple", 3): [0, 3], ("named", 1): [1, 2, 5], ("pair", 2): [4],
+    }
+    text = io.StringIO()
+    lp.to_text(text)
+    back = LpProblem.from_text(io.StringIO(text.getvalue()), name="mixed")
+    again = io.StringIO()
+    back.to_text(again)
+    assert again.getvalue() == text.getvalue()
+    assert back.var_ids == var_ids
+    assert [(kind, keys.tolist()) for kind, keys in back.columns.blocks] == [
+        (kind, keys.tolist()) for kind, keys in lp.columns.blocks
+    ]
+    assert np.array_equal(back.lb, lp.lb) and np.array_equal(back.ub, lp.ub) and np.array_equal(back.obj, lp.obj)
+    assert back.pair_columns[1, 2] == back.pair_columns[2, 1] == 4
+    with pytest.raises(InvalidParameterError, match="free variable slack"):
+        induced_point(Partition.from_cluster_list([[1, 2], [3, 4]]), back)
+
+
+def test_an_induced_point_needs_every_key_in_the_partition():
+    lp = build_lp2(fig2_weights(make_fixture("fig2a", {}).graph).layers[0].weights, 6)
+    induced_point(Partition.from_cluster_list([[1, 2, 3], [4, 5, 6]]), lp)
+    with pytest.raises(InvalidVertexError, match=r"\[1\.\.5\]"):
+        induced_point(Partition.from_cluster_list([[1, 2, 3], [4, 5]]), lp)
 
 
 @settings(max_examples=200, deadline=None)

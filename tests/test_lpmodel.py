@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from motifcc import (
     DirectedGraph,
     FractionalSolution,
+    InvalidParameterError,
     Partition,
     SizeLimitError,
     VarId,
@@ -24,6 +25,7 @@ from motifcc import (
     per_class_breakdown,
     verify_solution,
 )
+from motifcc import lpmodel
 from motifcc.generators import karate
 from motifcc.lpmodel import (
     LpProblem,
@@ -113,9 +115,13 @@ class TestBuildLp1:
             assert s3 <= (s1 | s2)
             assert s3 != s1 and s3 != s2
 
-    def test_cap_enforced(self, mcc_weights):
-        with pytest.raises(SizeLimitError):
-            build_lp1(mcc_weights.layers[0].weights, 6, max_constraints=100)
+    def test_cap_enforced(self, mcc_weights, monkeypatch):
+        monkeypatch.setattr(lpmodel, "LP1_DEFAULT_CONSTRAINT_CAP", 100)
+        with pytest.raises(SizeLimitError, match=r"\(cap 100\)$"):
+            build_lp1(mcc_weights.layers[0].weights, 6)
+        monkeypatch.setattr(lpmodel, "LP2_DEFAULT_CONSTRAINT_CAP", 100)
+        with pytest.raises(SizeLimitError, match=r"\(cap 100\)$"):
+            build_lp2(mcc_weights.layers[0].weights, 6)
 
     def test_objective_coefficients(self, mcc_weights):
         lp = build_lp1(mcc_weights.layers[0].weights, 6)
@@ -478,6 +484,24 @@ class TestDumpRoundTrip:
         lp.to_text(str(path))
         back = LpProblem.from_text(str(path))
         assert back.num_vars == lp.num_vars and back.num_rows == lp.num_rows
+
+    def test_a_path_object_and_an_open_file_work_as_a_path_string_does(self, tmp_path, mcc_weights):
+        lp = build_lp2(mcc_weights.layers[0].weights, 6)
+        lp.to_text(str(tmp_path / "str.lp"))
+        want = (tmp_path / "str.lp").read_text(encoding="utf-8")
+        lp.to_text(tmp_path / "path.lp")
+        with open(tmp_path / "handle.lp", "w", encoding="utf-8") as fh:
+            lp.to_text(fh)
+            assert not fh.closed  # the caller's handle stays open
+        for name in ("path.lp", "handle.lp"):
+            assert (tmp_path / name).read_text(encoding="utf-8") == want
+        with open(tmp_path / "str.lp", encoding="utf-8") as fh:
+            for source in (tmp_path / "str.lp", fh):
+                back = LpProblem.from_text(source)
+                assert back.var_ids == lp.var_ids and back.num_rows == lp.num_rows
+            assert not fh.closed
+        with pytest.raises(InvalidParameterError, match="a path or an open file, got 3"):
+            LpProblem.from_text(3)
 
 
 class TestFractionalSolution:

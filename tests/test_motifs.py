@@ -1,6 +1,8 @@
 """Motif classification and weight resolution."""
 
+import io
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +20,6 @@ from motifcc import (
     WeightRule,
     build_table1_weights,
     classify,
-    classify_pair,
-    classify_triple,
     directed_cycle_rule,
     weights_from_config,
     weights_to_config,
@@ -33,22 +33,22 @@ from conftest import ref_classify_triple_directed, ref_tuple_weight
 class TestClassifyPair:
     def test_edge_and_nonedge(self):
         g = DirectedGraph.from_arcs(3, [(1, 2)])
-        assert classify_pair(g, (1, 2)) is MotifClass.EDGE
-        assert classify_pair(g, (2, 1)) is MotifClass.EDGE  # order-insensitive
-        assert classify_pair(g, (1, 3)) is MotifClass.NON_EDGE
+        assert classify(g, (1, 2)) is MotifClass.EDGE
+        assert classify(g, (2, 1)) is MotifClass.EDGE  # order-insensitive
+        assert classify(g, (1, 3)) is MotifClass.NON_EDGE
 
 
 class TestClassifyTripleUndirected:
     def test_all_degrees(self, two_triangle_graph):
         g = two_triangle_graph
-        assert classify_triple(g, (1, 2, 3)) is MotifClass.TRIANGLE
-        assert classify_triple(g, (1, 2, 4)) is MotifClass.PATH  # edges 1-2, 1-4
-        assert classify_triple(g, (2, 5, 6)) is MotifClass.OTHER_TRIPLE  # one edge
-        assert classify_triple(g, (2, 4, 5)) is MotifClass.OTHER_TRIPLE  # one edge
+        assert classify(g, (1, 2, 3)) is MotifClass.TRIANGLE
+        assert classify(g, (1, 2, 4)) is MotifClass.PATH  # edges 1-2, 1-4
+        assert classify(g, (2, 5, 6)) is MotifClass.OTHER_TRIPLE  # one edge
+        assert classify(g, (2, 4, 5)) is MotifClass.OTHER_TRIPLE  # one edge
 
     def test_no_edges_is_other(self):
         g = DirectedGraph.from_arcs(4, [(1, 2), (2, 1)])
-        assert classify_triple(g, (1, 3, 4)) is MotifClass.OTHER_TRIPLE
+        assert classify(g, (1, 3, 4)) is MotifClass.OTHER_TRIPLE
 
 
 class TestClassifyTripleDirected:
@@ -65,22 +65,22 @@ class TestClassifyTripleDirected:
             if not arcs:
                 continue
             g = DirectedGraph.from_arcs(3, arcs)
-            got = classify_triple(g, (1, 2, 3), directed=True)
+            got = classify(g, (1, 2, 3), directed=True)
             want = ref_classify_triple_directed(set(arcs), (1, 2, 3))
             assert got.value == want, f"states={states} arcs={sorted(arcs)}"
 
     def test_known_shapes(self):
         cyc = DirectedGraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
-        assert classify_triple(cyc, (1, 2, 3)) is MotifClass.DIRECTED_THREE_CYCLE
+        assert classify(cyc, (1, 2, 3)) is MotifClass.DIRECTED_THREE_CYCLE
         ff = DirectedGraph.from_arcs(3, [(1, 2), (1, 3), (2, 3)])
-        assert classify_triple(ff, (1, 2, 3)) is MotifClass.FEED_FORWARD
+        assert classify(ff, (1, 2, 3)) is MotifClass.FEED_FORWARD
         cyc_bidi = DirectedGraph.from_arcs(3, [(1, 2), (2, 3), (3, 1), (2, 1)])
         assert (
-            classify_triple(cyc_bidi, (1, 2, 3))
+            classify(cyc_bidi, (1, 2, 3))
             is MotifClass.DIRECTED_THREE_CYCLE_BIDIRECTIONAL
         )
         ff_bidi = DirectedGraph.from_arcs(3, [(1, 2), (2, 1), (1, 3), (2, 3)])
-        assert classify_triple(ff_bidi, (1, 2, 3)) is MotifClass.OTHER_TRIPLE
+        assert classify(ff_bidi, (1, 2, 3)) is MotifClass.OTHER_TRIPLE
 
     def test_vertex_order_invariant(self):
         rng = np.random.default_rng(7)
@@ -94,21 +94,21 @@ class TestClassifyTripleDirected:
                 continue
             g = DirectedGraph.from_arcs(3, arcs)
             results = {
-                classify_triple(g, perm, directed=True)
+                classify(g, perm, directed=True)
                 for perm in itertools.permutations((1, 2, 3))
             }
             assert len(results) == 1
 
     def test_auto_view_follows_symmetry(self):
         sym = DirectedGraph.from_arcs(3, [(1, 2), (2, 1), (2, 3), (3, 2), (1, 3), (3, 1)])
-        assert classify_triple(sym, (1, 2, 3)) is MotifClass.TRIANGLE
+        assert classify(sym, (1, 2, 3)) is MotifClass.TRIANGLE
         asym = DirectedGraph.from_arcs(3, [(1, 2), (2, 3), (3, 1)])
-        assert classify_triple(asym, (1, 2, 3)) is MotifClass.DIRECTED_THREE_CYCLE
+        assert classify(asym, (1, 2, 3)) is MotifClass.DIRECTED_THREE_CYCLE
 
     def test_wrong_size_rejected(self):
         g = DirectedGraph.from_arcs(4, [(1, 2)])
         with pytest.raises(UnsupportedMotifSizeError):
-            classify_triple(g, (1, 2, 3, 4))
+            classify(g, (1, 2, 3, 4))
 
 
 class TestClassifyDispatch:
@@ -314,6 +314,15 @@ class TestConfigRoundTrip:
         back = weights_from_config(str(path), two_triangle_graph)
         assert back.k_star == 3
 
+    def test_a_path_object_or_an_open_file_is_read_as_a_path_string_is(self, tmp_path, two_triangle_graph):
+        cfg = json.dumps(weights_to_config(build_table1_weights("MMCC", two_triangle_graph)))
+        path = tmp_path / "w.json"
+        path.write_text(cfg, encoding="utf-8")
+        want = weights_to_config(weights_from_config(str(path), two_triangle_graph))
+        with open(path, encoding="utf-8") as fh:
+            for source in (path, io.StringIO(cfg), fh):
+                assert weights_to_config(weights_from_config(source, two_triangle_graph)) == want
+
     def test_overrides_survive(self, two_triangle_graph):
         cfg = {
             "layers": [
@@ -451,7 +460,7 @@ class TestArrayRule:
             return
         assert got[0] == want[0] and got[2:] == want[2:]
         assert got[1].tobytes() == want[1].tobytes()
-        classify_k = classify_pair if w.k == 2 else (lambda g, t: classify_triple(g, t, directed=w.directed))
+        classify_k = classify if w.k == 2 else (lambda g, t: classify(g, t, directed=w.directed))
         reference_k = (
             reference_classify_pair if w.k == 2 else (lambda g, t: reference_classify_triple(g, t, w.directed))
         )
@@ -484,6 +493,6 @@ class TestArrayRule:
     def test_vertex_outside_the_graph_rejected(self):
         g = DirectedGraph.from_arcs(3, [(1, 2)])
         with pytest.raises(InvalidVertexError):
-            classify_pair(g, (1, 4))
+            classify(g, (1, 4))
         with pytest.raises(InvalidVertexError):
-            classify_triple(g, (0, 1, 2))
+            classify(g, (0, 1, 2))

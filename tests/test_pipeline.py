@@ -54,6 +54,11 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError, match=key):
             RunConfig.from_dict({**FIG2A, key: value})
 
+    @pytest.mark.parametrize("value", [0, -3, 2.5, "10", None])
+    def test_max_iterations_must_be_a_positive_integer(self, value):
+        with pytest.raises(InvalidParameterError, match=f"max_iterations must be an integer of at least 1, got {value!r}"):
+            RunConfig.from_dict({**FIG2A, "max_iterations": value})
+
 
 class TestLoadInstance:
     def test_generator_with_args(self):

@@ -1,5 +1,6 @@
 """Region-growing rounding: scores, branch logic, parameter certificates."""
 
+import io
 import json
 
 import numpy as np
@@ -228,6 +229,16 @@ class TestTrace:
         assert lines[0]["cluster"] == [1]
         assert lines[0]["neighborhood"] == []
         assert lines[-1] == {"leftover": [3, 4], "policy": "together"}
+
+    def test_jsonl_goes_to_a_path_object_or_an_open_file(self, tmp_path):
+        x = {t: 1.0 for t in [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]}
+        _, trace = round_alg1(x, 4, 3, RoundingParams(1.0 / 3))
+        want = "".join(line + "\n" for line in trace.to_json_lines())
+        trace.write_jsonl(tmp_path / "path.jsonl")
+        assert (tmp_path / "path.jsonl").read_text(encoding="utf-8") == want
+        buf = io.StringIO()
+        trace.write_jsonl(buf)
+        assert buf.getvalue() == want  # written, and left open
 
     def test_steps_record_threshold_arithmetic(self):
         z = {(1, 2): 0.2, (1, 3): 0.3, (2, 3): 0.0}
