@@ -314,14 +314,6 @@ class LpProblem:
             products = self.data * x[self.indices]
         return np.bincount(self._entry_rows(), weights=products, minlength=self.num_rows)
 
-    def colwise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows column by column, (start, row index, value), as
-        ``A.tocsc()`` lists them: a stable sort by column keeps each
-        column's entries in row order."""
-        order = np.argsort(self.indices, kind="stable")
-        start = np.concatenate([[0], np.cumsum(np.bincount(self.indices, minlength=self.num_vars))])
-        return start, self._entry_rows()[order], self.data[order]
-
     @property
     def row_names(self) -> list[str]:
         if callable(self._row_names):
@@ -414,8 +406,9 @@ class LpProblem:
 
     @classmethod
     def from_text(cls, file, name: str = "dump") -> "LpProblem":
-        """Inverse of ``to_text``.  A malformed line raises
-        InvalidParameterError naming its line number."""
+        """Inverse of ``to_text``, of a whole dump only: a malformed line, a
+        line before the first section or after ``end``, and a file without
+        ``end`` raise InvalidParameterError naming the line."""
         with open_text(file) as fh:
             lines = list(fh)
         parsed: dict[str, list] = {"minimize": [], "subject to": [], "bounds": []}
@@ -424,15 +417,20 @@ class LpProblem:
             ln = raw.strip()
             if not ln or ln.startswith("#"):
                 continue
+            if section == "end" or (section is None and ln.lower() not in parsed):
+                where = "before the first section" if section is None else "after 'end'"
+                raise InvalidParameterError(f"line {lineno}: {ln!r} {where}")
             if ln.lower() in ("minimize", "subject to", "bounds", "end"):
                 section = ln.lower()
-            elif section in parsed:
+            else:
                 try:
                     parsed[section].append(_parse_dump_line(section, ln))
                 except (ValueError, IndexError, StopIteration) as exc:
                     raise InvalidParameterError(
                         f"line {lineno}: malformed {section} line {ln!r}"
                     ) from exc
+        if section != "end":
+            raise InvalidParameterError(f"line {len(lines)}: the dump ends without its 'end' line")
         var_ids: list[VarId] = []
         col: dict[str, int] = {}
 
@@ -610,16 +608,33 @@ def _check_weights_n(weights: MotifWeights, n: int) -> None:
         )
 
 
+def check_lp_size(relaxation: str, n: int, sizes: Iterable[int]) -> int:
+    """The full LP's row count for ``relaxation`` ("LP1", "LP2" or "LP3")
+    on n vertices with layers of tuple sizes ``sizes``, from closed forms
+    only, so a run can refuse an LP before it makes anything of size
+    C(n,k).  LP1 counts its Upsilon rows, capped at
+    ``LP1_DEFAULT_CONSTRAINT_CAP``; LP2/LP3 count every tuple row and all
+    3·C(n,3) triangle rows, capped at ``LP2_DEFAULT_CONSTRAINT_CAP``.  A
+    count above its cap raises SizeLimitError."""
+    if relaxation == "LP1":
+        est = sum(count_upsilon(n, k) for k in sizes)
+        if est > LP1_DEFAULT_CONSTRAINT_CAP:
+            raise SizeLimitError(f"LP1 would need {est} constraints (cap {LP1_DEFAULT_CONSTRAINT_CAP})")
+        return est
+    est = 3 * math.comb(n, 3) + sum(math.comb(n, k) * (math.comb(k, 2) + 1) for k in sizes if k >= 3)
+    if est > LP2_DEFAULT_CONSTRAINT_CAP:
+        raise SizeLimitError(f"LP3 would need {est} rows (cap {LP2_DEFAULT_CONSTRAINT_CAP})")
+    return est
+
+
 def build_lp1_core(weights: MotifWeights, n: int) -> LpProblem:
     """``build_lp1`` without its Upsilon rows: the tuple columns and the
     objective.  The census keeps the closed-form "upsilon" count;
     ``add_upsilon_rows`` appends the rows a solve needs.  That count is
-    capped at ``LP1_DEFAULT_CONSTRAINT_CAP``."""
+    capped (``check_lp_size``)."""
     _check_weights_n(weights, n)
     k = weights.k
-    est = count_upsilon(n, k)
-    if est > LP1_DEFAULT_CONSTRAINT_CAP:
-        raise SizeLimitError(f"LP1 would need {est} constraints (cap {LP1_DEFAULT_CONSTRAINT_CAP})")
+    est = check_lp_size("LP1", n, [k])
     table = weights.tuple_table()
     return LpProblem(
         f"lp1_n{n}_k{k}", Columns([("tuple", table.tuples)]), 2.0 * table.wplus - 1.0, float((1.0 - table.wplus).sum()),
@@ -986,15 +1001,11 @@ def build_lp3_core(mixed: MixedWeights, n: int, *, drop_zero_cost: bool = False)
     With ``drop_zero_cost`` the tuple columns of objective coefficient 0
     and their rows are never built: the LP is ``drop_zero_cost_tuples`` of
     the core, column for column and row for row, and its ``lift`` is that
-    function's ``TupleLift``.  The full LP's row count is capped at
-    ``LP2_DEFAULT_CONSTRAINT_CAP``."""
+    function's ``TupleLift``.  The full LP's row count is capped
+    (``check_lp_size``)."""
     for layer in mixed:
         _check_weights_n(layer.weights, n)
-    est = 3 * math.comb(n, 3) + sum(
-        math.comb(n, l.k) * (math.comb(l.k, 2) + 1) for l in mixed if l.k >= 3
-    )
-    if est > LP2_DEFAULT_CONSTRAINT_CAP:
-        raise SizeLimitError(f"LP3 would need {est} rows (cap {LP2_DEFAULT_CONSTRAINT_CAP})")
+    check_lp_size("LP3", n, [layer.k for layer in mixed])
     tuples, costs, offset = {}, {}, 0.0  # per layer size, k = 2 for the pairs
     for layer in mixed:
         table = layer.weights.tuple_table()  # a k=2 layer's table lists the pairs in z-column order

@@ -1,20 +1,23 @@
 """End-to-end runs: load/generate -> weights -> LP -> solve -> check -> round -> certify.
 
-The weights stage builds every layer's tuple table.  Every relaxation is
-built without one row family: LP1 without its Θ(n^{2k-1}) Upsilon rows,
-LP2 and LP3 without their 3·C(n,3) triangle rows (``omitted_rows`` names
-the family).  LP2 and LP3 are also built without the tuple columns of
-objective coefficient exactly 0 and their own rows (the triangle rows
-imply them; ``drop_zero_cost_tuples``), and their ``lift`` brings those
-columns back from z at the end.  The solve stage solves that core LP on
-HiGHS, adds the rows of the family the optimum violates (the family's
-``separate`` at the solver tolerance) and solves again, until no omitted
-row is violated; that optimum is then optimal for the full LP.  One HiGHS
-instance serves all rounds: each later round passes it only the added
-rows, and HiGHS re-optimizes from its last basis.  The check stage
-verifies the lifted point against the last LP solved and, on arrays,
-against the left-out tuple rows, and separates once more at the
-certificate tolerance, so every row of the full LP is checked.
+The weights stage refuses an LP over its size cap (``check_lp_size``)
+and rounding parameters outside their certified bounds, then builds
+every layer's tuple table.  Every relaxation is built without one row
+family: LP1 without its Θ(n^{2k-1}) Upsilon rows, LP2 and LP3 without
+their 3·C(n,3) triangle rows (``omitted_rows`` names the family).  LP2
+and LP3 are also built without the tuple columns of objective
+coefficient exactly 0 and their own rows (the triangle rows imply them;
+``drop_zero_cost_tuples``), and their ``lift`` brings those columns back
+from z at the end.  The solve stage solves that core LP on HiGHS, adds
+the rows of the family the optimum violates (the family's ``separate``
+at the solver tolerance) and solves again, until no omitted row is
+violated; that optimum is then optimal for the full LP.  One HiGHS
+instance serves all rounds: round 1 passes it the core's rows and each
+later round only the added rows, all by addRows, and HiGHS re-optimizes
+from its last basis.  The check stage verifies the lifted point against
+the last LP solved and, on arrays, against the left-out tuple rows, and
+separates once more at the certificate tolerance, so every row of the
+full LP is checked.
 
 ``RunConfig`` is the single source of truth for one run and is echoed
 verbatim into the Report, which serializes deterministically (timings are
@@ -58,6 +61,7 @@ from .lpmodel import (
     add_upsilon_rows,
     build_lp1_core,
     build_lp3_core,
+    check_lp_size,
     evaluate_objective,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.evaluate_objective
     first_rows,
     induced_point,  # noqa: F401 -- perfbench/tracer.py wraps pipeline.induced_point
@@ -384,6 +388,11 @@ def run(config: RunConfig) -> Report:
     with stage("weights", timings):
         mixed = resolve_weights(config, graph)
         relaxation = pick_relaxation(config, mixed)
+        # refuse an LP too large to build, or parameters the rounding
+        # would refuse, before a tuple table is made or an LP solved
+        check_lp_size(relaxation, n, [layer.k for layer in mixed])
+        rec = choose_params(config, mixed, relaxation, n)
+        rec.check(mixed.k_star)
         for layer in mixed:
             layer.weights.tuple_table()
     with stage("build", timings):
@@ -407,7 +416,6 @@ def run(config: RunConfig) -> Report:
                 f"(first {family.name(*missed[0].tolist())}) at tol {config.certificate_tol:g}"
             )
     with stage("round", timings):
-        rec = choose_params(config, mixed, relaxation, n)
         if rec.algorithm == "alg1":
             partition, trace = round_alg1(
                 solution,

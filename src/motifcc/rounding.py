@@ -120,6 +120,16 @@ def _validate_alpha(alpha: float, k: int) -> None:
         )
 
 
+def _validate_beta(beta: float | None, k: int, bound: float | None) -> None:
+    if beta is None:
+        raise InvalidParameterError("pair-variable rounding requires beta")
+    bound = 1.0 / k if bound is None else bound
+    if not (0.0 < beta <= bound + 1e-12):
+        raise InvalidParameterError(
+            f"beta must satisfy 0 < beta <= {bound:.6g} (violated bound), got {beta}"
+        )
+
+
 def _pick_pivot(S: set[int], rule: str, rng) -> int:
     if rule == "lowest":
         return min(S)
@@ -223,13 +233,7 @@ def round_alg2(
     sum(z) > beta·alpha·|N|.  ``beta_bound`` widens the admissible beta
     (1/(k - r0) on edge-plus-motif stacks); defaults to 1/k_star."""
     _validate_alpha(params.alpha, k_star)
-    if params.beta is None:
-        raise InvalidParameterError("pair-variable rounding requires beta")
-    bound = 1.0 / k_star if beta_bound is None else beta_bound
-    if not (0.0 < params.beta <= bound + 1e-12):
-        raise InvalidParameterError(
-            f"beta must satisfy 0 < beta <= {bound:.6g} (violated bound), got {params.beta}"
-        )
+    _validate_beta(params.beta, k_star, beta_bound)
     mat = _pair_matrix(z, n)
 
     def score_row(v, active):
@@ -247,6 +251,14 @@ class Recommendation:
     beta_bound: float | None = None
     r0: float | None = None
     mode: str = ""
+
+    def check(self, k: int) -> None:
+        """Raise what its rounding procedure (``round_alg1`` or
+        ``round_alg2`` at tuple size ``k``) would raise of these
+        parameters, before there is a point to round."""
+        _validate_alpha(self.params.alpha, k)
+        if self.algorithm == "alg2":
+            _validate_beta(self.params.beta, k, self.beta_bound)
 
 
 def recommended_params(

@@ -2,16 +2,18 @@
 
 ``highs_core`` loads the HiGHS extension module that scipy ships without
 importing ``scipy.optimize``.  A ``HighsModel`` keeps one HiGHS instance
-across the separation rounds of an LP that grows by rows: each round
-passes it only the added rows (``addRows``), and HiGHS re-optimizes from
-its last basis.  HiGHS runs on one thread, silent, which makes every
-solve deterministic, and without presolve.  On the first round of the
-LP2/LP3 cores (the planted MMCC ladder n = 16-50, karate CC, MMCC and
-MCC) presolve removed no row, only the pair columns no row holds yet;
-with it off, round 1 took the same iterations to the same LP value in
-25-42% less time on the MMCC cores (planted n = 22: 3.5 -> 2.2 ms;
-n = 50: 47 -> 28 ms) and 6% less on karate MCC (2-core x86-64, HiGHS
-1.12.0 bundled with scipy 1.17.1).
+across the separation rounds of an LP that grows by rows.  Rows reach
+HiGHS one way: the first load gives it the columns alone (costs and
+bounds, ``addCols``), and every load, the first included, passes the rows
+past those it holds straight from the CSR arrays (``addRows``); HiGHS
+re-optimizes from its last basis.  HiGHS runs on one thread, silent,
+which makes every solve deterministic, and without presolve.  On the
+first round of the LP2/LP3 cores (the planted MMCC ladder n = 16-50,
+karate CC, MMCC and MCC) presolve removed no row, only the pair columns
+no row holds yet; with it off, round 1 took the same iterations to the
+same LP value in 25-42% less time on the MMCC cores (planted n = 22: 3.5
+-> 2.2 ms; n = 50: 47 -> 28 ms) and 6% less on karate MCC (2-core
+x86-64, HiGHS 1.12.0 bundled with scipy 1.17.1).
 
 ``verify_solution`` is the independent check of a point against every
 row and bound of an ``LpProblem``, or of a lifted point against the
@@ -207,14 +209,15 @@ def highs_core():
         core = module_from_spec(spec_from_loader(_HIGHS_MODULE, loader))
         loader.exec_module(core)
         sys.modules[_HIGHS_MODULE] = core
-    missing = [name for name in ("_Highs", "HighsLp", "HighsStatus", "HighsModelStatus", "MatrixFormat")
-               if not hasattr(core, name)]
-    if missing or not hasattr(core._Highs, "addRows"):
-        raise SolverFailureError(f"{core.__file__} lacks {missing or ['_Highs.addRows']}")
+    missing = [name for name in ("_Highs", "HighsStatus", "HighsModelStatus") if not hasattr(core, name)]
+    if not missing:
+        missing = [f"_Highs.{name}" for name in ("addCols", "addRows") if not hasattr(core._Highs, name)]
+    if missing:
+        raise SolverFailureError(f"{core.__file__} lacks {missing}")
     return core
 
 
-def _row_bounds(problem: LpProblem, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _row_bounds(problem: LpProblem, first: int) -> tuple[np.ndarray, np.ndarray]:
     """HiGHS row bounds lower <= a x <= upper of rows ``first:``."""
     senses, rhs = problem.senses[first:], problem.rhs[first:]
     return np.where(senses == -1, -np.inf, rhs), np.where(senses == 1, np.inf, rhs)
@@ -223,10 +226,10 @@ def _row_bounds(problem: LpProblem, first: int = 0) -> tuple[np.ndarray, np.ndar
 class HighsModel:
     """One HiGHS instance across the solves of an LP that grows by rows.
 
-    Each solve passes HiGHS only the rows past those it holds
-    (``addRows``), and HiGHS re-optimizes from its last basis.  So the
-    rows it holds must stay the first rows of every problem solved in it,
-    with the same columns.
+    The first load gives HiGHS the columns, with no matrix.  Each load then
+    passes it the rows past those it holds (``addRows``), and HiGHS
+    re-optimizes from its last basis.  So the rows it holds must stay the
+    first rows of every problem solved in it, with the same columns.
     """
 
     def __init__(self):
@@ -235,26 +238,19 @@ class HighsModel:
 
     def load(self, problem: LpProblem) -> None:
         h = self.highs
-        held = h.getNumRow()
         if h.getNumCol() == 0:
-            lp = self.core.HighsLp()
-            lp.num_col_ = lp.a_matrix_.num_col_ = problem.num_vars
-            lp.num_row_ = lp.a_matrix_.num_row_ = problem.num_rows
-            lp.col_cost_, lp.col_lower_, lp.col_upper_ = problem.obj, problem.lb, problem.ub
-            lp.row_lower_, lp.row_upper_ = _row_bounds(problem)
-            lp.a_matrix_.format_ = self.core.MatrixFormat.kColwise
-            lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = problem.colwise()
-            status = h.passModel(lp)
-        elif problem.num_vars != h.getNumCol() or problem.num_rows < held:
+            self._check(h.addCols(problem.num_vars, problem.obj, problem.lb, problem.ub, 0, [], [], []), problem)
+        held = h.getNumRow()
+        if problem.num_vars != h.getNumCol() or problem.num_rows < held:
             raise InvalidParameterError("the problem does not extend the LP HiGHS holds")
-        elif problem.num_rows > held:
+        if problem.num_rows > held:
             lo, nnz = problem.indptr[held], problem.indptr[-1] - problem.indptr[held]
             lower, upper = _row_bounds(problem, held)
-            status = h.addRows(
+            self._check(h.addRows(
                 len(lower), lower, upper, nnz, problem.indptr[held:] - lo, problem.indices[lo:], problem.data[lo:]
-            )
-        else:
-            return
+            ), problem)
+
+    def _check(self, status, problem: LpProblem) -> None:
         if status == self.core.HighsStatus.kError:
             raise SolverFailureError(f"HiGHS rejected the LP {problem.name}")
 

@@ -11,6 +11,7 @@ from motifcc.generators import make_fig2a
 from motifcc.lpmodel import VarId, build_lp2
 from motifcc.motifs import MixedWeights, MotifWeights, WeightRule
 
+from test_highs import fresh
 from test_simplex import LinearConstraint, make_problem, v
 
 
@@ -257,6 +258,7 @@ BAD_FILES = {
     "c_run.json": {"runs": [{"generator": "fig2a", "weights": "fig2"}, 3]},
 }
 DUMP = "minimize\nobj: +1*x_1_2 offset 0\nsubject to\nbounds\n0 <= x_1_2 <= 1\nend\n"
+BAD_DUMPS = {"d_outside.txt": "obj: +1*x\n", "d_no_end.txt": DUMP.removesuffix("end\n")}
 VERIFY = ["verify", "--problem", "p.txt", "--solution"]
 ROUND = ["round", "--n", "3", "--k", "2", "--solution"]
 BAD_VALUES = {
@@ -301,6 +303,10 @@ BAD_VALUES = {
     "round-values-value": ([*ROUND, "s_values_value.json"], "'x_1_2'"),
     "compare-list": (["compare", "--config", "c_list.json"], "got list"),
     "compare-run": (["compare", "--config", "c_run.json"], "runs[1]"),
+    "dump-line-before-section": (["solve", "--lp-dump", "d_outside.txt"], "line 1: 'obj: +1*x'"),
+    "dump-without-end": (["solve", "--lp-dump", "d_no_end.txt"], "line 5: the dump ends without"),
+    "verify-line-before-section": (["verify", "--problem", "d_outside.txt", "--solution", "s.json"], "line 1: 'obj"),
+    "verify-without-end": (["verify", "--problem", "d_no_end.txt", "--solution", "s.json"], "line 5: the dump"),
 }
 
 
@@ -311,6 +317,8 @@ class TestBadValuesExit2:
         for name, payload in BAD_FILES.items():
             (tmp_path / name).write_text(json.dumps(payload))
         (tmp_path / "p.txt").write_text(DUMP)
+        for name, text in BAD_DUMPS.items():
+            (tmp_path / name).write_text(text)
         argv, named = BAD_VALUES[case]
         assert main(argv) == EXIT_CONFIG
         assert named in capsys.readouterr().err
@@ -546,6 +554,60 @@ class TestMalformedDump:
         }[command]
         assert main(argv) == EXIT_CONFIG
         assert f"line {at + 1}:" in capsys.readouterr().err
+
+    # a file that is not one whole dump, and the line its error names
+    PARTS = {
+        "line-before-first-section": (lambda lines: ["obj: +1*x"], 1),
+        "first-half-without-end": (lambda lines: lines[: len(lines) // 2], None),
+    }
+
+    @pytest.mark.parametrize("command", ["verify", "solve"])
+    @pytest.mark.parametrize("case", sorted(PARTS))
+    def test_a_part_of_a_dump_exits_2_naming_the_line(self, case, command, tmp_path, capsys):
+        buf = io.StringIO()
+        fig2a_lp2().to_text(buf)
+        cut, at = self.PARTS[case]
+        lines = cut(buf.getvalue().splitlines())
+        dump = tmp_path / "part.lp.txt"
+        dump.write_text("\n".join(lines) + "\n")
+        sol = tmp_path / "solution.json"
+        sol.write_text("{}")
+        argv = {
+            "verify": ["verify", "--problem", str(dump), "--solution", str(sol)],
+            "solve": ["solve", "--lp-dump", str(dump)],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"line {at or len(lines)}:" in err
+        assert ("before the first section" if at else "without its 'end' line") in err
+
+
+class TestOversizedInput:
+    """An input whose LP is over its cap exits 2 before anything of size
+    C(n,k) is made: the edge list ``1 2`` / ``2000 2001`` has n = 2001,
+    so C(n,3) = 1.33e9 triples.  Each case runs in its own process under an
+    address-space limit, so a regression fails instead of taking the
+    machine's memory."""
+
+    @pytest.mark.parametrize("method", [["CC"], ["MCC"], ["MMCC"], ["MCC", "--relaxation", "LP1"]],
+                             ids=["CC", "MCC", "MMCC", "MCC-LP1"])
+    def test_exits_2_within_a_second(self, method, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("1 2\n2000 2001\n")
+        argv = ["solve", "--input", str(edges), "--undirected", "--weights", "table1", "--method", *method]
+        code = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from motifcc.cli import main\n"
+            "t0 = time.perf_counter()\n"
+            f"code = main({argv!r})\n"
+            "print(time.perf_counter() - t0)\n"
+            "sys.exit(code)\n"
+        )
+        proc = fresh(code)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "would need" in proc.stderr and "(cap " in proc.stderr
+        assert float(proc.stdout) < 1.0
 
 
 class TestParserBasics:

@@ -1,21 +1,26 @@
 """The LP rows as CSR arrays, checked against scipy.sparse as the reference.
 
 ``LpProblem`` holds its rows as (data, indices, indptr) and computes with
-numpy what scipy computed before: the row activity ``A @ x``, bit for bit,
-and the column-wise arrays HiGHS is given, equal to ``A.tocsc()``'s.  The
-scipy view ``A`` is built from the arrays on first read, and assigning a
-scipy matrix to it replaces them.
+numpy what scipy computed before: the row activity ``A @ x``, bit for bit.
+The same arrays are what HiGHS is given, by ``addRows`` from the first
+round on; after each load HiGHS holds the problem's costs, bounds and row
+bounds, and, column-wise, the matrix ``A.tocsc()``.  The scipy view ``A``
+is built from the arrays on first read, and assigning a scipy matrix to it
+replaces them.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from motifcc import build_table1_weights
+from motifcc import build_table1_weights, simplex
 from motifcc.errors import InvalidParameterError
-from motifcc.generators import karate
+from motifcc.generators import karate, make_fig2b
 from motifcc.lpmodel import LpProblem, VarId, build_lp3
+from motifcc.pipeline import RunConfig, build_relaxation, resolve_weights, solve_relaxation
 from motifcc.simplex import solve, verify_solution
+
+from test_lp_rows import lp3_cases
 
 
 def random_rows(rng, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,23 +91,84 @@ def test_verify_solution_reports_the_rows_of_a_nonfinite_value():
     assert all(v.amount == np.inf for v in report.violations)
 
 
-def assert_colwise_is_tocsc(problem: LpProblem) -> None:
-    start, rows, values = problem.colwise()
+def assert_highs_holds(model: simplex.HighsModel, problem: LpProblem) -> None:
+    """HiGHS holds ``problem`` after ``model.load(problem)``: its costs,
+    bounds and row bounds, and, column-wise as HiGHS solves it, the matrix
+    ``A.tocsc()`` less the entries of magnitude at most HiGHS's
+    small_matrix_value, which HiGHS drops (explicit zeros too)."""
+    model.highs.ensureColwise()  # what run() does first
+    lp = model.highs.getLp()
+    lower = np.where(problem.senses == -1, -np.inf, problem.rhs)
+    upper = np.where(problem.senses == 1, np.inf, problem.rhs)
+    for got, want in [(lp.col_cost_, problem.obj), (lp.col_lower_, problem.lb), (lp.col_upper_, problem.ub),
+                      (lp.row_lower_, lower), (lp.row_upper_, upper)]:
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
     csc = problem.A.tocsc()
-    assert np.array_equal(start, csc.indptr)
-    assert np.array_equal(rows, csc.indices)
-    assert values.dtype == csc.data.dtype and values.tobytes() == csc.data.tobytes()
+    csc.data[np.abs(csc.data) <= model.highs.getOptionValue("small_matrix_value")[1]] = 0.0
+    csc.eliminate_zeros()
+    matrix = lp.a_matrix_
+    assert (lp.num_row_, lp.num_col_) == csc.shape
+    assert np.asarray(matrix.start_).astype(np.int64).tobytes() == csc.indptr.astype(np.int64).tobytes()
+    assert np.asarray(matrix.index_).astype(np.int64).tobytes() == csc.indices.astype(np.int64).tobytes()
+    assert np.asarray(matrix.value_, dtype=float).tobytes() == csc.data.tobytes()
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_colwise_equals_tocsc(seed):
-    assert_colwise_is_tocsc(random_problem(np.random.default_rng(seed)))
+def watched_rounds(core: LpProblem, monkeypatch) -> list[int]:
+    """Each round's iterations of ``solve_relaxation(core)``, asserting
+    what HiGHS holds after each of its loads."""
+    real_load = simplex.HighsModel.load
+    loads = []
+
+    def load(model, problem):
+        real_load(model, problem)
+        assert_highs_holds(model, problem)
+        loads.append(problem.num_rows)
+
+    monkeypatch.setattr(simplex.HighsModel, "load", load)
+    rounds = solve_relaxation(core, simplex.SolverConfig()).rounds
+    assert len(loads) == len(rounds) and loads == sorted(set(loads))
+    return [r.iterations for r in rounds]
+
+
+RANGE_TRIPLES = {"TriangleK3": [0.8, 1.0], "PathP3": [0.45, 0.75], "OtherTriple": [0.2, 0.5]}
+
+
+@pytest.mark.parametrize("case", ["karate-CC", "planted22-MMCC", "fig2b8-LP1"])
+def test_highs_holds_each_round_of_a_relaxation(case, monkeypatch):
+    if case == "fig2b8-LP1":
+        weights = {"layers": [{"k": 3, "rules": RANGE_TRIPLES, "seed": 1}]}
+        core = build_relaxation("LP1", resolve_weights(RunConfig(weights=weights), make_fig2b(8).graph), 8)
+        assert core.num_rows == 0
+    else:
+        mixed, n = lp3_cases()[case]
+        core = build_relaxation("LP3", mixed, n)
+    plain = [r.iterations for r in solve_relaxation(core, simplex.SolverConfig()).rounds]
+    # reading HiGHS back changes none of its rounds
+    assert watched_rounds(core, monkeypatch) == plain
+    assert len(plain) >= 2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_highs_holds_a_random_lp_loaded_in_two_parts(seed):
+    rng = np.random.default_rng([seed, 7])
+    problem = random_problem(rng)
+    problem.senses = rng.integers(-1, 2, size=problem.num_rows).astype(np.int8)  # <=, = and >= rows
+    m = problem.num_rows // 2
+    first = LpProblem("first", problem.var_ids, problem.obj, 0.0,
+                      (problem.data[:problem.indptr[m]], problem.indices[:problem.indptr[m]], problem.indptr[:m + 1]),
+                      problem.senses[:m], problem.rhs[:m], problem.row_names[:m])
+    model = simplex.HighsModel()
+    for part in (first, problem):
+        model.load(part)
+        assert_highs_holds(model, part)
 
 
 def test_colwise_equals_tocsc_on_karate_mmcc():
     problem = build_lp3(build_table1_weights("MMCC", karate().graph), 34)
     assert problem.num_rows == 41_888
-    assert_colwise_is_tocsc(problem)
+    model = simplex.HighsModel()
+    model.load(problem)
+    assert_highs_holds(model, problem)
 
 
 @pytest.mark.parametrize("fmt", ["csr", "csc", "coo"])

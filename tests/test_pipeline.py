@@ -186,6 +186,19 @@ class TestChooseParams:
             RunConfig.from_dict({**FIG2A, flag[2:]: "x"})
 
 
+    @pytest.mark.parametrize("flag,named", [("--alpha", "alpha must satisfy 0 < alpha <= 1/k"),
+                                            ("--beta", "beta must satisfy 0 < beta <= 0.333333")])
+    def test_a_parameter_above_its_bound_exits_2_before_the_solve(self, flag, named, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("an LP was built or solved")
+
+        monkeypatch.setattr(pipeline, "build_relaxation", never)
+        monkeypatch.setattr(pipeline, "solve_relaxation", never)
+        argv = ["solve", "--generator", "karate", "--weights", "table1", "--method", "MCC", flag, "0.5"]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: [weights] {named}")
+
+
 class TestRun:
     def test_fig2a_lp2_full_pipeline(self):
         report = run(RunConfig.from_dict(FIG2A))
